@@ -2,7 +2,9 @@
 
 The solver alternates a steepest-descent rotation step on SO(3) with a
 Barzilai-Borwein translation step, and only needs an objective value plus
-its two Euclidean gradients. Three objectives ship with the package:
+its two Euclidean gradients; objectives that also provide their block
+quadrics (see ``PoseObjective``) are solved on those. Three objectives
+ship with the package:
 
   * GecForm - relative pose of generalized (central or non-central)
     cameras from ray-to-ray correspondences;

@@ -11,18 +11,28 @@ re-projection every 50 steps absorbs accumulated rounding anyway.
 The translation block is plain gradient descent with Barzilai-Borwein
 step lengths, stopping when the objective stalls or would increase.
 
-Both solvers only ever accept steps that decrease the objective, so the
-outer objective trace is nonincreasing by construction.
+Each block solve holds the other block fixed for its whole run, so it
+works on a value/gradient pair of its own block only. When the objective
+provides ``rotation_quadric`` / ``translation_quadric`` (see
+``PoseObjective``), the pair evaluates that fixed-size quadric, built once
+per block solve; otherwise it calls the objective's ``value`` and
+gradients.
+
+Both solvers only ever accept steps that decrease their block objective.
+Block quadrics and the full objective round differently, so the outer
+loop re-evaluates the full objective and accepts an outer iterate only if
+that value did not rise; the outer objective trace is nonincreasing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NonFiniteObjective
-from .geometry import Pose, project_to_so3, rodrigues_step, unskew
+from .geometry import Pose, project_to_so3
 from .objectives import PoseObjective
 
 _MU_MAX = 1e6            # cap for the doubling schedule on pathological objectives
@@ -31,6 +41,11 @@ _RATE_FLOOR = 1e-30      # squared-gradient scale treated as a stationary rotati
 _GRAD_DELTA_FLOOR = 1e-16  # gradient changes below this mean the descent is done
 _REPROJECT_EVERY = 50
 _INNER_CAP = 100_000     # safety net; unreachable on objectives bounded below
+_AXIS_FLOOR = 1e-14      # shorter rotation axes give no usable step direction
+_SQRT2 = math.sqrt(2.0)
+# vec() stacks columns; the rotation pair works on row-major ravels, so the
+# quadric is permuted once: _ROW_MAJOR[i] is the vec() index of ravel entry i.
+_ROW_MAJOR = np.array([0, 3, 6, 1, 4, 7, 2, 5, 8])
 
 
 @dataclass(frozen=True)
@@ -70,53 +85,111 @@ class AmmResult:
     objective_trace: tuple
 
 
+def _rotation_block(objective: PoseObjective, t: np.ndarray):
+    """(value, gradient) of the objective over rotations at translation t."""
+    quadric = getattr(objective, "rotation_quadric", None)
+    if quadric is None:
+        return (lambda x: float(objective.value(x, t)),
+                lambda x: np.asarray(objective.rotation_gradient(x, t), dtype=float))
+    p, q, k = quadric(t)
+    p = np.asarray(p, dtype=float)[np.ix_(_ROW_MAJOR, _ROW_MAJOR)]
+    q = np.asarray(q, dtype=float)[_ROW_MAJOR]
+    k = float(k)
+
+    def value(x):
+        r = x.ravel()
+        return float(r @ (p @ r + q)) + k
+
+    def gradient(x):
+        return (2.0 * (p @ x.ravel()) + q).reshape(3, 3)
+
+    return value, gradient
+
+
+def _translation_block(objective: PoseObjective, r: np.ndarray):
+    """(value, gradient) of the objective over translations at rotation r."""
+    quadric = getattr(objective, "translation_quadric", None)
+    if quadric is None:
+        return (lambda x: float(objective.value(r, x)),
+                lambda x: np.asarray(objective.translation_gradient(r, x), dtype=float))
+    a, b, k = quadric(r)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    k = float(k)
+    return (lambda x: float(x @ (a @ x + b)) + k,
+            lambda x: 2.0 * (a @ x) + b)
+
+
+def _rotate(x, kx, k2x, angle: float):
+    """(expm(angle K) x, Frobenius norm of the step) for a unit axis K.
+
+    Rodrigues' formula with Kx and K^2 x precomputed; the step norm is
+    ||expm(angle K) - I||_F = sqrt(2 (sin^2 + (1 - cos)^2)).
+    """
+    s = math.sin(angle)
+    c = 1.0 - math.cos(angle)
+    return x + s * kx + c * k2x, _SQRT2 * math.hypot(s, c)
+
+
 def rotation_subsolve(objective: PoseObjective, rotation_init, translation_fixed,
                       config: AmmConfig = AmmConfig()) -> np.ndarray:
     """Minimize over rotations at a fixed translation.
 
     Returns a rotation with objective value no larger than at
-    ``rotation_init``. Stops when the Frobenius step norm drops below
+    ``rotation_init`` (on the rotation quadric, when the objective has
+    one). Stops when the Frobenius step norm drops below
     ``config.tol_rotation``, when the tangent gradient vanishes, or when
     the step length underflows on a flat objective (the best iterate so
     far is returned in that case).
     """
-    t = np.asarray(translation_fixed, dtype=float)
+    value, gradient = _rotation_block(
+        objective, np.asarray(translation_fixed, dtype=float))
     x = np.asarray(rotation_init, dtype=float)
     mu = config.initial_mu
-    gx = float(objective.value(x, t))
+    gx = value(x)
     for inner in range(1, _INNER_CAP + 1):
-        grad = np.asarray(objective.rotation_gradient(x, t), dtype=float)
-        z = grad @ x.T - x @ grad.T           # Riemannian gradient (skew-symmetric)
-        rate = 0.5 * float(np.sum(z * z))     # decrease rate 0.5 tr(ZZ')
+        # Riemannian gradient Z = grad X' - X grad' = M - M' with M = grad X';
+        # (a0, a1, a2) is the axis of -Z and rate = 0.5 tr(ZZ') its decrease rate.
+        m = (gradient(x) @ x.T).tolist()
+        a0 = m[1][2] - m[2][1]
+        a1 = m[2][0] - m[0][2]
+        a2 = m[0][1] - m[1][0]
+        rate = a0 * a0 + a1 * a1 + a2 * a2
         if rate < _RATE_FLOOR:
             break
-        axis = unskew(z.T)
-        p = rodrigues_step(axis, mu)
-        gp = float(objective.value(p @ x, t))
-        q = p @ p
-        gq = float(objective.value(q @ x, t))
+        # With K the cross-product matrix of the unit axis, the step by
+        # angle theta is x -> x + sin(theta) Kx + (1 - cos(theta)) K^2 x.
+        n = math.sqrt(rate)
+        if n < _AXIS_FLOOR:
+            break                             # no step direction: every trial is x
+        a0, a1, a2 = a0 / n, a1 / n, a2 / n
+        k = np.array([[0.0, -a2, a1], [a2, 0.0, -a0], [-a1, a0, 0.0]])
+        kx = k @ x
+        k2x = k @ kx
+        xp, step_p = _rotate(x, kx, k2x, mu * n)
+        gp = value(xp)
+        xq, step_q = _rotate(x, kx, k2x, 2.0 * mu * n)
+        gq = value(xq)
         while gx - gq >= mu * rate and mu < _MU_MAX:   # doubled step still pays off
-            p, gp = q, gq
+            xp, step_p, gp = xq, step_q, gq
             mu *= 2.0
-            q = p @ p
-            gq = float(objective.value(q @ x, t))
+            xq, step_q = _rotate(x, kx, k2x, 2.0 * mu * n)
+            gq = value(xq)
         collapsed = False
         while gx - gp < 0.5 * mu * rate:               # shrink to sufficient decrease
             mu *= 0.5
             if mu < _MU_MIN:
                 collapsed = True
                 break
-            p = rodrigues_step(axis, mu)
-            gp = float(objective.value(p @ x, t))
+            xp, step_p = _rotate(x, kx, k2x, mu * n)
+            gp = value(xp)
         if collapsed:
             break
-        x_new = p @ x
-        step = float(np.linalg.norm(x_new - x))
-        x, gx = x_new, gp
+        x, gx = xp, gp
         if inner % _REPROJECT_EVERY == 0:
             x = project_to_so3(x)
-            gx = float(objective.value(x, t))
-        if step < config.tol_rotation:
+            gx = value(x)
+        if step_p < config.tol_rotation:
             break
     return x
 
@@ -126,21 +199,23 @@ def translation_subsolve(objective: PoseObjective, translation_init, rotation_fi
     """Minimize over the translation at a fixed rotation.
 
     Barzilai-Borwein gradient descent seeded with ``config.initial_alpha``.
-    Returns the last iterate that decreased the objective; a step that
-    would increase it ends the descent, and a vanishing gradient change is
+    Returns the last iterate that decreased the objective (on the
+    translation quadric, when the objective has one); a step that would
+    increase it ends the descent, and a vanishing gradient change is
     treated as convergence.
     """
-    r = np.asarray(rotation_fixed, dtype=float)
+    value, gradient = _translation_block(
+        objective, np.asarray(rotation_fixed, dtype=float))
     x = np.asarray(translation_init, dtype=float)
     alpha = config.initial_alpha
-    h = float(objective.value(r, x))
-    g = np.asarray(objective.translation_gradient(r, x), dtype=float)
+    h = value(x)
+    g = gradient(x)
     for _ in range(_INNER_CAP):
         x_new = x - alpha * g
-        h_new = float(objective.value(r, x_new))
-        g_new = np.asarray(objective.translation_gradient(r, x_new), dtype=float)
+        h_new = value(x_new)
+        g_new = gradient(x_new)
         dg = g_new - g
-        dg_norm = float(np.linalg.norm(dg))
+        dg_norm = math.sqrt(float(dg @ dg))
         if dg_norm < _GRAD_DELTA_FLOOR:
             # gradient unchanged to machine precision: nothing left to exploit
             if h_new <= h:
@@ -163,9 +238,11 @@ def solve_amm(objective: PoseObjective, translation_init,
     The rotation is solved first at the initial translation, warm-started
     from ``rotation_init`` (identity when omitted) and thereafter from the
     previous outer iterate. Stops when the objective changes by less than
-    ``config.tol_outer`` between outer iterations (converged) or at the
-    iteration cap (not converged). Raises NonFiniteObjective if any
-    evaluation returns NaN or infinity.
+    ``config.tol_outer`` between outer iterations (converged), when an
+    outer iteration would raise the objective (converged; the previous
+    iterate is kept), or at the iteration cap (not converged). The final
+    objective is evaluated at the returned pose. Raises NonFiniteObjective
+    if any evaluation returns NaN or infinity.
     """
     t = np.asarray(translation_init, dtype=float)
     r = np.eye(3) if rotation_init is None else np.asarray(rotation_init, dtype=float)
@@ -177,25 +254,33 @@ def solve_amm(objective: PoseObjective, translation_init,
     trace = []
     converged = False
     outer = 0
-    f = f_prev
     for outer in range(1, config.max_outer_iters + 1):
-        r = rotation_subsolve(objective, r, t, config)
+        r_new = rotation_subsolve(objective, r, t, config)
+        t_new = t
         if use_closed:
-            t_exact = objective.closed_form_translation(r)
-            if objective.value(r, t_exact) <= objective.value(r, t):
-                t = t_exact
+            t_exact = objective.closed_form_translation(r_new)
+            if objective.value(r_new, t_exact) <= objective.value(r_new, t):
+                t_new = t_exact
         else:
-            t = translation_subsolve(objective, t, r, config)
-        f = float(objective.value(r, t))
+            t_new = translation_subsolve(objective, t, r_new, config)
+        f = float(objective.value(r_new, t_new))
         if not np.isfinite(f):
             raise NonFiniteObjective("objective became non-finite during the solve")
+        if f > f_prev:
+            # The block solves only accept decreases of their own block
+            # objectives, so a rise is rounding: nothing left to gain.
+            converged = True
+            break
+        r, t = r_new, t_new
         trace.append(f)
-        if abs(f - f_prev) < config.tol_outer:
+        if f_prev - f < config.tol_outer:
             converged = True
             break
         f_prev = f
-    return AmmResult(pose=Pose(project_to_so3(r), t),
-                     final_objective=f,
+    pose = Pose(project_to_so3(r), t)
+    return AmmResult(pose=pose,
+                     final_objective=float(objective.value(pose.rotation,
+                                                           pose.translation)),
                      outer_iterations=outer,
                      converged=converged,
                      objective_trace=tuple(trace))

@@ -46,10 +46,10 @@ INIT_IDENTITY = "identity"
 
 THREADS_ENV = "POSEAMM_THREADS"
 
-# Relative scenes reject points closer than this to the second camera
-# center; a point on top of a camera makes its observed direction
-# meaningless.
-_MIN_CAMERA_DISTANCE = 1.0
+# Relative scenes reject points closer to the second camera center than
+# this share of the nearest point depth (1.0 at the default depths); a
+# point on top of a camera makes its observed direction meaningless.
+_MIN_CAMERA_DISTANCE_RATIO = 0.25
 
 _TRACE_SLACK = 1e-12
 
@@ -176,13 +176,14 @@ def generate_relative_scene(config: SceneConfig,
 
     A 3D point is placed on a ray of camera 1, re-observed from camera 2
     (frame-2 coordinates x2 = R'(x1 - t)), and both rays are returned as
-    Plücker lines in their own frames. Points landing within one unit of
-    the second camera center are resampled. Non-central offsets fill a
-    full 3D cube, which keeps the rig away from the aligned-stereo
-    degeneracy.
+    Plücker lines in their own frames. Points landing within a quarter of
+    the nearest point depth of the second camera center are resampled.
+    Non-central offsets fill a full 3D cube, which keeps the rig away from
+    the aligned-stereo degeneracy.
     """
     rng = np.random.default_rng(config.seed) if rng is None else rng
     truth = random_pose(rng, config)
+    min_distance = _MIN_CAMERA_DISTANCE_RATIO * config.point_depth_range[0]
     corrs = []
     for _ in range(config.num_correspondences):
         while True:
@@ -192,7 +193,7 @@ def generate_relative_scene(config: SceneConfig,
             point1 = offset1 + depth * dir1
             point2 = truth.rotation.T @ (point1 - truth.translation)
             offset2 = _camera_offset(rng, config)
-            if np.linalg.norm(point2 - offset2) >= _MIN_CAMERA_DISTANCE:
+            if np.linalg.norm(point2 - offset2) >= min_distance:
                 break
         dir2 = _unit(point2 - offset2)
         dir1 = apply_pixel_noise(dir1, config.noise_sigma_px, config.focal_px, rng)
@@ -265,12 +266,17 @@ def initial_pose(solver: str, init: str, corrs, objective) -> Pose:
     return init_absolute_linear(objective)
 
 
-def _check_trace(result: AmmResult) -> None:
+def _trace_rose(result: AmmResult) -> bool:
     trace = result.objective_trace
-    for prev, cur in zip(trace, trace[1:]):
-        if cur > prev + _TRACE_SLACK:
-            raise RuntimeError(
-                f"objective trace increased from {prev!r} to {cur!r}")
+    return any(cur > prev + _TRACE_SLACK for prev, cur in zip(trace, trace[1:]))
+
+
+def _failed_record(sigma: float, trial: int, solver: str, elapsed: int) -> TrialRecord:
+    return TrialRecord(
+        noise_sigma=sigma, trial_index=trial, solver_name=solver,
+        rot_err_frobenius=math.inf, trans_err_norm=math.inf,
+        wall_time_ns=elapsed, outer_iterations=0,
+        final_objective=math.inf, converged=False)
 
 
 def _run_trial(task, base_config: SceneConfig, problem: str, solvers,
@@ -290,22 +296,21 @@ def _run_trial(task, base_config: SceneConfig, problem: str, solvers,
             pose0 = initial_pose(solver, init, corrs, objective)
             result = solve_amm(objective, pose0.translation, amm_config,
                                rotation_init=pose0.rotation)
-            elapsed = time.perf_counter_ns() - start if measure_time else 0
-            _check_trace(result)
-            rot_err, trans_err = pose_errors(truth, result.pose)
-            records.append(TrialRecord(
-                noise_sigma=sigma, trial_index=trial, solver_name=solver,
-                rot_err_frobenius=rot_err, trans_err_norm=trans_err,
-                wall_time_ns=elapsed, outer_iterations=result.outer_iterations,
-                final_objective=result.final_objective,
-                converged=result.converged))
         except PoseSolverError:
-            elapsed = time.perf_counter_ns() - start if measure_time else 0
-            records.append(TrialRecord(
-                noise_sigma=sigma, trial_index=trial, solver_name=solver,
-                rot_err_frobenius=math.inf, trans_err_norm=math.inf,
-                wall_time_ns=elapsed, outer_iterations=0,
-                final_objective=math.inf, converged=False))
+            result = None
+        elapsed = time.perf_counter_ns() - start if measure_time else 0
+        if result is None or _trace_rose(result):
+            # a failed solve, or one whose trace broke monotonicity, voids
+            # this record only, never the sweep
+            records.append(_failed_record(sigma, trial, solver, elapsed))
+            continue
+        rot_err, trans_err = pose_errors(truth, result.pose)
+        records.append(TrialRecord(
+            noise_sigma=sigma, trial_index=trial, solver_name=solver,
+            rot_err_frobenius=rot_err, trans_err_norm=trans_err,
+            wall_time_ns=elapsed, outer_iterations=result.outer_iterations,
+            final_objective=result.final_objective,
+            converged=result.converged))
     return records
 
 
@@ -331,8 +336,9 @@ def run_sweep(base_config: SceneConfig, problem: str, noise_levels: Sequence[flo
     Every solver sees the same scene within a trial. Timing wraps the
     initializer plus the solve, never scene generation; pass
     ``measure_time=False`` to record zeros instead, which makes repeated
-    sweeps byte-identical. Solver failures become non-converged records
-    with infinite errors; they never abort the sweep. Worker processes:
+    sweeps byte-identical. Solver failures, and solves whose objective
+    trace rose by more than rounding, become non-converged records with
+    infinite errors; they never abort the sweep. Worker processes:
     ``max_workers`` if given, else the POSEAMM_THREADS environment
     variable (0 = all cores), else serial.
     """

@@ -5,6 +5,8 @@ A quadratic form stores six coefficient blocks of
     F(R, t) = r'M_rr r + v_r'r + t'M_tr r + t'M_tt t + v_t't + c,
 with r = vec(R), so evaluating the objective or its gradients costs the
 same no matter how many correspondences were folded into the blocks.
+Fixing either block leaves a quadric in the other, which the form hands
+to the solver through ``rotation_quadric`` and ``translation_quadric``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,19 @@ class PoseObjective(ABC):
     Implementations must be pure: ``value`` and both gradients may be
     called concurrently and must not mutate shared state. Values are sums
     of squared residuals, hence nonnegative.
+
+    Objectives that are quadratic in each block may also provide two
+    optional methods, which the solver looks up by name:
+
+      * ``rotation_quadric(translation) -> (P, q, k)`` with P a symmetric
+        9x9 matrix, q a 9-vector and k a float such that
+        value(R, t) = r'Pr + q'r + k for r = vec(R) at that translation;
+      * ``translation_quadric(rotation) -> (A, b, k)`` with A a symmetric
+        3x3 matrix such that value(R, t) = t'At + b't + k at that rotation.
+
+    Each block solve then builds its quadric once and evaluates trial
+    points on it, instead of calling ``value`` and the gradients. Without
+    them the solver uses ``value`` and the gradients throughout.
     """
 
     @abstractmethod
@@ -107,6 +122,18 @@ class QuadraticPoseForm(PoseObjective):
         r = vec(rotation)
         t = np.asarray(translation, dtype=float)
         return 2.0 * (self.m_tt @ t) + self.m_tr @ r + self.v_t
+
+    def rotation_quadric(self, translation):
+        """(P, q, k) with value(R, t) = r'Pr + q'r + k at this translation."""
+        t = np.asarray(translation, dtype=float)
+        return (self.m_rr, self.v_r + self.m_tr.T @ t,
+                float(t @ (self.m_tt @ t) + self.v_t @ t + self.c))
+
+    def translation_quadric(self, rotation):
+        """(A, b, k) with value(R, t) = t'At + b't + k at this rotation."""
+        r = vec(rotation)
+        return (self.m_tt, self.m_tr @ r + self.v_t,
+                float(r @ (self.m_rr @ r) + self.v_r @ r + self.c))
 
     def closed_form_translation(self, rotation) -> np.ndarray:
         """Exact minimizer over t at fixed rotation.

@@ -8,6 +8,11 @@ Expanding the bilinear form per correspondence gives a coefficient
 accumulating M = sum_i a_i a_i' turns the summed squared constraint into
 the single quadric v'Mv, evaluable in time independent of the number of
 correspondences.
+
+v is linear in each block when the other is fixed: v = L_t r with
+L_t = [I3 kron skew(t); I9] and r = vec(R), and vec(skew(t) R) = S_R t with
+S_R = -[skew(R e1); skew(R e2); skew(R e3)]. Both restrictions of v'Mv are
+therefore quadrics too, in 9 and 3 variables.
 """
 
 from __future__ import annotations
@@ -89,6 +94,22 @@ class GecForm(PoseObjective):
 
     def rotation_gradient_flat(self, rotation, translation) -> np.ndarray:
         return vec(self.rotation_gradient(rotation, translation))
+
+    def rotation_quadric(self, translation):
+        """(L_t'M L_t, 0, 0): the objective as r'Pr at this translation."""
+        lift = np.vstack([np.kron(np.eye(3), skew(translation)), np.eye(9)])
+        p = lift.T @ self.m @ lift
+        return 0.5 * (p + p.T), np.zeros(9), 0.0
+
+    def translation_quadric(self, rotation):
+        """(S'M_EE S, 2 S'M_ER r, r'M_RR r) with S = S_R at this rotation."""
+        rotation = np.asarray(rotation, dtype=float)
+        s = -np.vstack([skew(rotation[:, 0]), skew(rotation[:, 1]),
+                        skew(rotation[:, 2])])
+        r = vec(rotation)
+        a = s.T @ self.m[:9, :9] @ s
+        return (0.5 * (a + a.T), 2.0 * (s.T @ (self.m[:9, 9:] @ r)),
+                float(r @ (self.m[9:, 9:] @ r)))
 
     def translation_gradient(self, rotation, translation) -> np.ndarray:
         # dv'/dt = [skew(r_1) skew(r_2) skew(r_3) | 0] over R's columns.

@@ -1,9 +1,10 @@
-"""Shared helpers: deterministic random geometry and finite-difference oracles."""
+"""Shared helpers: deterministic random geometry, finite-difference oracles
+and the block-quadric check."""
 
 import numpy as np
 import pytest
 
-from poseamm.geometry import rodrigues_step
+from poseamm.geometry import rodrigues_step, unvec, vec
 
 
 def random_rotation(rng, max_angle=np.pi):
@@ -40,6 +41,25 @@ def fd_translation_gradient(objective, rotation, translation, h=1e-6):
         g[i] = (objective.value(rotation, tp)
                 - objective.value(rotation, tm)) / (2.0 * h)
     return g
+
+
+def assert_block_quadrics_match(form, rotation, translation):
+    """Both block quadrics reproduce value and gradients at (R, t)."""
+    value = form.value(rotation, translation)
+    r = vec(rotation)
+    p, q, k = form.rotation_quadric(translation)
+    np.testing.assert_allclose(p, p.T, rtol=0, atol=1e-12 * np.abs(p).max())
+    assert r @ p @ r + q @ r + k == pytest.approx(value, rel=1e-12)
+    np.testing.assert_allclose(unvec(2.0 * p @ r + q),
+                               form.rotation_gradient(rotation, translation),
+                               rtol=1e-12, atol=1e-12 * abs(value))
+    a, b, k = form.translation_quadric(rotation)
+    np.testing.assert_allclose(a, a.T, rtol=0, atol=1e-12 * np.abs(a).max())
+    assert (translation @ a @ translation + b @ translation + k
+            == pytest.approx(value, rel=1e-12))
+    np.testing.assert_allclose(2.0 * a @ translation + b,
+                               form.translation_gradient(rotation, translation),
+                               rtol=1e-12, atol=1e-12 * abs(value))
 
 
 def relative_gradient_error(analytic, numeric):

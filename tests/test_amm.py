@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import random_rotation
+from poseamm import amm
 from poseamm.absolute import build_gpnp_form, build_upnp_form
 from poseamm.amm import (AmmConfig, rotation_subsolve, solve_amm,
                          translation_subsolve)
-from poseamm.bench import SceneConfig, generate_absolute_scene, pose_errors
+from poseamm.bench import (RIG_CENTRAL, RIG_NON_CENTRAL, SceneConfig,
+                           generate_absolute_scene, generate_relative_scene,
+                           pose_errors)
 from poseamm.exceptions import NonFiniteObjective
+from poseamm.geometry import vec
+from poseamm.initializers import (init_absolute_linear, init_identity,
+                                  init_relative_17pt)
 from poseamm.objectives import PoseObjective
+from poseamm.relative import build_gec_form
 
 
 class FrobeniusObjective(PoseObjective):
@@ -44,22 +51,89 @@ class NanObjective(ConstantObjective):
         return float("nan")
 
 
-class IterateRecorder(PoseObjective):
-    """Record every rotation the subsolver evaluates a gradient at."""
+class ContractOnly(PoseObjective):
+    """Forward the three contract methods only, hiding any block quadrics,
+    so the solver takes its generic path."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.rotations = []
 
     def value(self, rotation, translation):
         return self.inner.value(rotation, translation)
 
     def rotation_gradient(self, rotation, translation):
-        self.rotations.append(np.array(rotation))
         return self.inner.rotation_gradient(rotation, translation)
 
     def translation_gradient(self, rotation, translation):
         return self.inner.translation_gradient(rotation, translation)
+
+
+class IterateRecorder(ContractOnly):
+    """Record every rotation the subsolver evaluates a gradient at."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.rotations = []
+
+    def rotation_gradient(self, rotation, translation):
+        self.rotations.append(np.array(rotation))
+        return self.inner.rotation_gradient(rotation, translation)
+
+
+class CallCounter:
+    """Count the contract calls and forward every other attribute, the
+    block quadrics included."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = {"value": 0, "rotation_gradient": 0,
+                      "translation_gradient": 0}
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def value(self, rotation, translation):
+        self.calls["value"] += 1
+        return self.inner.value(rotation, translation)
+
+    def rotation_gradient(self, rotation, translation):
+        self.calls["rotation_gradient"] += 1
+        return self.inner.rotation_gradient(rotation, translation)
+
+    def translation_gradient(self, rotation, translation):
+        self.calls["translation_gradient"] += 1
+        return self.inner.translation_gradient(rotation, translation)
+
+
+class MisleadingQuadric(FrobeniusObjective):
+    """A rotation quadric that pulls toward r_decoy, not r_star: the block
+    solve lowers it while the full objective rises."""
+
+    def __init__(self, r_star, t_star, r_decoy):
+        super().__init__(r_star, t_star)
+        self.r_decoy = np.asarray(r_decoy, dtype=float)
+
+    def rotation_quadric(self, translation):
+        t_term = float(np.sum((np.asarray(translation) - self.t_star) ** 2))
+        return np.eye(9), -2.0 * vec(self.r_decoy), 3.0 + t_term
+
+
+def _criterion_4_grid():
+    """(form, seed pose) of every solve on the acceptance criterion-4 grid."""
+    seed = 1234567
+    for problem, rig in (("relative", RIG_NON_CENTRAL), ("absolute", RIG_CENTRAL),
+                         ("absolute", RIG_NON_CENTRAL)):
+        for sigma in (0.0, 2.0, 4.0, 6.0, 8.0, 10.0):
+            for trial in range(3):
+                config = SceneConfig(seed=seed, rig=rig, noise_sigma_px=sigma)
+                rng = np.random.default_rng([seed, int(sigma), trial])
+                if problem == "relative":
+                    _, corrs = generate_relative_scene(config, rng)
+                    yield build_gec_form(corrs), init_relative_17pt(corrs)
+                else:
+                    _, corrs = generate_absolute_scene(config, rng)
+                    for form in (build_gpnp_form(corrs), build_upnp_form(corrs)):
+                        yield form, init_absolute_linear(form)
 
 
 class TestRotationSubsolve:
@@ -206,6 +280,26 @@ class TestSolveAmm:
         assert result.outer_iterations == 1
         assert not result.converged
 
+    def test_final_objective_at_returned_pose(self):
+        for seed in range(5):
+            _, corrs = generate_absolute_scene(
+                SceneConfig(seed=seed, noise_sigma_px=3.0))
+            form = build_upnp_form(corrs)
+            result = solve_amm(form, np.zeros(3))
+            assert result.final_objective == form.value(
+                result.pose.rotation, result.pose.translation)
+
+    def test_rising_outer_iterate_is_rejected(self, rng):
+        r_star = random_rotation(rng)
+        t_star = rng.normal(size=3)
+        objective = MisleadingQuadric(r_star, t_star, random_rotation(rng))
+        result = solve_amm(objective, t_star, rotation_init=r_star)
+        assert result.converged
+        assert result.outer_iterations == 1
+        assert result.objective_trace == ()
+        np.testing.assert_allclose(result.pose.rotation, r_star, atol=1e-12)
+        np.testing.assert_array_equal(result.pose.translation, t_star)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AmmConfig(tol_outer=0.0)
@@ -213,3 +307,83 @@ class TestSolveAmm:
             AmmConfig(max_outer_iters=0)
         with pytest.raises(ValueError):
             AmmConfig(initial_alpha=-1.0)
+
+
+class TestBlockQuadricPath:
+    def test_agrees_with_generic_path_on_criterion_4_grid(self):
+        # Final objectives are compared relative to the objective at the
+        # identity pose, the problem's own scale: zero-noise minima sit at
+        # the rounding floor, where their ratio means nothing.
+        solves = 0
+        for form, pose0 in _criterion_4_grid():
+            fast = solve_amm(form, pose0.translation, rotation_init=pose0.rotation)
+            generic = solve_amm(ContractOnly(form), pose0.translation,
+                                rotation_init=pose0.rotation)
+            scale = form.value(np.eye(3), np.zeros(3))
+            assert abs(fast.final_objective - generic.final_objective) <= 1e-8 * scale
+            rot_err, trans_err = pose_errors(fast.pose, generic.pose)
+            assert rot_err < 1e-6
+            assert trans_err < 1e-5
+            solves += 1
+        assert solves == 90
+
+    def test_forwarding_proxy_keeps_the_quadric_path(self):
+        # Quadrics are looked up with getattr, so a proxy that forwards
+        # attributes solves exactly like the form, and the contract methods
+        # are called only for the outer values.
+        _, corrs = generate_relative_scene(SceneConfig(seed=4, noise_sigma_px=2.0))
+        form = build_gec_form(corrs)
+        pose0 = init_relative_17pt(corrs)
+        counter = CallCounter(form)
+        direct = solve_amm(form, pose0.translation, rotation_init=pose0.rotation)
+        proxied = solve_amm(counter, pose0.translation, rotation_init=pose0.rotation)
+        assert proxied.objective_trace == direct.objective_trace
+        np.testing.assert_array_equal(proxied.pose.rotation, direct.pose.rotation)
+        assert counter.calls == {"value": direct.outer_iterations + 2,
+                                 "rotation_gradient": 0,
+                                 "translation_gradient": 0}
+
+    def test_iterates_stay_on_manifold(self, monkeypatch):
+        rotations = []
+        block = amm._rotation_block
+
+        def recording_block(objective, t):
+            value, gradient = block(objective, t)
+
+            def recorded(x):
+                rotations.append(np.array(x))
+                return gradient(x)
+            return value, recorded
+
+        monkeypatch.setattr(amm, "_rotation_block", recording_block)
+        for form, pose0 in _criterion_4_grid():
+            solve_amm(form, pose0.translation, rotation_init=pose0.rotation)
+        assert len(rotations) > 1000
+        for iterate in rotations:
+            assert np.linalg.norm(iterate @ iterate.T - np.eye(3)) < 1e-9
+            assert np.linalg.det(iterate) > 0.0
+
+    def test_no_trace_rises_at_scene_scale_1e3(self):
+        scale = 1e3
+        solves = 0
+        for seed in range(5):
+            for rig in (RIG_CENTRAL, RIG_NON_CENTRAL):
+                config = SceneConfig(seed=seed, rig=rig, noise_sigma_px=4.0 * (seed % 2),
+                                     point_depth_range=(4.0 * scale, 8.0 * scale),
+                                     rig_extent=0.5 * scale,
+                                     translation_extent=2.0 * scale)
+                _, corrs = generate_absolute_scene(config)
+                cases = [(form, pose0) for form in (build_gpnp_form(corrs),
+                                                    build_upnp_form(corrs))
+                         for pose0 in (init_identity(), init_absolute_linear(form))]
+                if rig == RIG_NON_CENTRAL:
+                    _, rays = generate_relative_scene(config)
+                    gec = build_gec_form(rays)
+                    cases += [(gec, init_identity()), (gec, init_relative_17pt(rays))]
+                for form, pose0 in cases:
+                    result = solve_amm(form, pose0.translation,
+                                       rotation_init=pose0.rotation)
+                    trace = result.objective_trace
+                    assert all(cur <= prev for prev, cur in zip(trace, trace[1:]))
+                    solves += 1
+        assert solves == 50

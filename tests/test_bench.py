@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from poseamm import bench
 from poseamm.absolute import build_gpnp_form, build_upnp_form
 from poseamm.bench import (SceneConfig, TrialRecord, apply_pixel_noise,
                            generate_absolute_scene, generate_relative_scene,
@@ -63,6 +64,14 @@ class TestSceneGeneration:
         _, corrs = generate_absolute_scene(SceneConfig(seed=4, rig="central"))
         for corr in corrs:
             np.testing.assert_array_equal(corr.ray.offset, np.zeros(3))
+
+    def test_relative_scene_much_smaller_than_a_unit_returns(self):
+        # The camera-distance floor scales with the point depths, so scenes
+        # a thousand times smaller than the default are still generated.
+        config = SceneConfig(point_depth_range=(4e-3, 8e-3), rig_extent=5e-4,
+                             translation_extent=2e-3, seed=3)
+        _, corrs = generate_relative_scene(config)
+        assert len(corrs) == config.num_correspondences
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -170,6 +179,32 @@ class TestRunSweep:
         for record in records:
             assert not record.converged
             assert math.isinf(record.rot_err_frobenius)
+
+    def test_rising_trace_recorded_as_failure(self, monkeypatch):
+        # A solve whose objective trace rose is recorded as failed; the
+        # other solver of the same trial and the other trials still run.
+        solve = bench.solve_amm
+        calls = []
+
+        def patched(objective, *args, **kwargs):
+            result = solve(objective, *args, **kwargs)
+            calls.append(result)
+            if len(calls) % 2 == 1:   # the first solver of every trial
+                return dataclasses.replace(result, objective_trace=(1.0, 2.0))
+            return result
+
+        monkeypatch.setattr(bench, "solve_amm", patched)
+        records = run_sweep(SceneConfig(seed=5), "absolute", [0.0], trials=3,
+                            measure_time=False)
+        assert len(records) == 6
+        for failed, solved in zip(records[0::2], records[1::2]):
+            assert failed.solver_name == "amm-gpnp"
+            assert not failed.converged
+            assert math.isinf(failed.rot_err_frobenius)
+            assert math.isinf(failed.trans_err_norm)
+            assert math.isinf(failed.final_objective)
+            assert solved.converged
+            assert solved.rot_err_frobenius < 1e-6
 
     def test_parallel_matches_serial(self):
         config = SceneConfig(seed=9)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import (fd_rotation_gradient, fd_translation_gradient,
-                      random_pose_arrays, relative_gradient_error)
-from poseamm.absolute import build_gpnp_form
+from conftest import (assert_block_quadrics_match, fd_rotation_gradient,
+                      fd_translation_gradient, random_pose_arrays,
+                      relative_gradient_error)
+from poseamm.absolute import build_gpnp_form, build_upnp_form
 from poseamm.bench import SceneConfig, generate_absolute_scene
 from poseamm.exceptions import SingularTranslationSystem
 from poseamm.objectives import QuadraticPoseForm
@@ -94,6 +95,21 @@ class TestQuadraticGradients:
         flat = form.rotation_gradient_flat(r, t)
         np.testing.assert_allclose(form.rotation_gradient(r, t),
                                    flat.reshape((3, 3), order="F"), atol=1e-15)
+
+
+class TestBlockQuadrics:
+    def test_random_forms(self, rng):
+        for _ in range(20):
+            form = random_form(rng)
+            assert_block_quadrics_match(form, *random_pose_arrays(rng))
+
+    def test_gpnp_and_upnp_forms(self, rng):
+        for seed in range(10):
+            _, corrs = generate_absolute_scene(
+                SceneConfig(seed=seed, noise_sigma_px=3.0,
+                            rig="central" if seed % 2 else "non_central"))
+            for form in (build_gpnp_form(corrs), build_upnp_form(corrs)):
+                assert_block_quadrics_match(form, *random_pose_arrays(rng))
 
 
 class TestClosedFormTranslation:

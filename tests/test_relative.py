@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import (fd_rotation_gradient, fd_translation_gradient,
-                      random_pose_arrays, relative_gradient_error)
+from conftest import (assert_block_quadrics_match, fd_rotation_gradient,
+                      fd_translation_gradient, random_pose_arrays,
+                      relative_gradient_error)
 from poseamm.bench import SceneConfig, generate_relative_scene
 from poseamm.exceptions import EmptyData
 from poseamm.geometry import PlueckerLine, skew, unvec, vec
@@ -167,6 +168,25 @@ class TestGecGradients:
         np.testing.assert_allclose(
             form.translation_gradient(np.eye(3), translation),
             2.0 * jac @ mv, atol=1e-12)
+
+
+class TestGecBlockQuadrics:
+    def test_match_value_and_gradients(self, rng):
+        for seed in range(20):
+            _, corrs = generate_relative_scene(
+                SceneConfig(seed=seed, noise_sigma_px=3.0))
+            form = build_gec_form(corrs)
+            assert_block_quadrics_match(form, *random_pose_arrays(rng))
+
+    def test_lift_and_translation_jacobian(self, rng):
+        # v = L_t vec(R) and vec(skew(t) R) = S_R t, the two linear maps the
+        # block quadrics are built from.
+        rotation, translation = random_pose_arrays(rng)
+        v = GecForm(np.zeros((18, 18))).stacked_variable(rotation, translation)
+        lift = np.vstack([np.kron(np.eye(3), skew(translation)), np.eye(9)])
+        np.testing.assert_allclose(lift @ vec(rotation), v, atol=1e-14)
+        s_r = -np.vstack([skew(rotation[:, j]) for j in range(3)])
+        np.testing.assert_allclose(s_r @ translation, v[:9], atol=1e-14)
 
 
 class TestScaleBehaviour:
