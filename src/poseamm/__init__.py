@@ -15,9 +15,8 @@ See the demos/ directory for worked examples and the CLI (``poseamm``)
 for benchmark sweeps.
 """
 
-from .absolute import (PointRayCorrespondence, UpnpFactorization,
-                       build_gpnp_form, build_upnp_factorization,
-                       build_upnp_form, gpnp_residual, upnp_depth)
+from .absolute import (PointRayCorrespondence, build_gpnp_form,
+                       build_upnp_form, gpnp_residual)
 from .amm import (AmmConfig, AmmResult, rotation_subsolve, solve_amm,
                   translation_subsolve)
 from .bench import (SceneConfig, TrialRecord, apply_pixel_noise,
@@ -32,14 +31,12 @@ from .exceptions import (AmbiguousProjection, ConstraintViolation,
 from .fileio import (parse_correspondence_file, read_sweep_csv,
                      records_to_csv, write_correspondence_file,
                      write_sweep_csv)
-from .geometry import (ObservedRay, PlueckerLine, Pose, kron,
-                       project_to_so3, rodrigues_step, skew, unskew, unvec,
-                       vec)
+from .geometry import (ObservedRay, PlueckerLine, Pose, project_to_so3,
+                       rodrigues_step, skew, unskew, unvec, vec)
 from .initializers import (init_absolute_linear, init_identity,
                            init_relative_17pt)
 from .objectives import PoseObjective, QuadraticPoseForm
-from .relative import (GecForm, RayCorrespondence, build_gec_form,
-                       build_gec_vector)
+from .relative import GecForm, RayCorrespondence, build_gec_form
 
 __version__ = "0.1.0"
 
@@ -50,15 +47,13 @@ __all__ = [
     "PointRayCorrespondence", "Pose", "PoseObjective", "PoseSolverError",
     "QuadraticPoseForm", "RankDeficientSystem", "RayCorrespondence",
     "SceneConfig", "SingularSystem", "SingularTranslationSystem",
-    "TrialRecord", "UpnpFactorization", "apply_pixel_noise",
-    "build_gec_form", "build_gec_vector", "build_gpnp_form", "build_objective",
-    "build_upnp_factorization", "build_upnp_form", "generate_absolute_scene",
+    "TrialRecord", "apply_pixel_noise", "build_gec_form", "build_gpnp_form",
+    "build_objective", "build_upnp_form", "generate_absolute_scene",
     "generate_relative_scene", "gpnp_residual", "init_absolute_linear",
-    "init_identity", "init_relative_17pt", "initial_pose", "kron",
-    "mean_records",
+    "init_identity", "init_relative_17pt", "initial_pose", "mean_records",
     "parse_correspondence_file", "pose_errors", "project_to_so3",
     "random_pose", "read_sweep_csv", "records_to_csv", "rodrigues_step",
     "rotation_subsolve", "run_sweep", "skew", "solve_amm",
-    "translation_subsolve", "unskew", "unvec", "upnp_depth", "vec",
+    "translation_subsolve", "unskew", "unvec", "vec",
     "write_correspondence_file", "write_sweep_csv",
 ]

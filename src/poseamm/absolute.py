@@ -1,13 +1,16 @@
 """Absolute pose objectives from 3D-point-to-ray correspondences.
 
 Both objectives reduce to the same fixed-size quadratic form, by different
-routes:
+routes. Each emits three residual rows per correspondence against
+phi = [vec(R); t; 1], and the rows are folded once into the form:
 
   * point-to-ray distance: the residual is the component of
     R x + t - c orthogonal to the bearing, i.e. (I - vv')(R x + t - c);
   * depth-eliminated ray residual: per-ray depths are solved jointly in
     least squares from the stacked constraints alpha_i v_i + c_i = R p_i + t
     and substituted back, leaving eta_i = alpha_i v_i + c_i - R p_i - t.
+
+Both row builders are vectorized and O(N) in time and memory.
 
 World points are mapped into the camera frame by x_cam = R x_world + t.
 """
@@ -52,67 +55,45 @@ def gpnp_residual(corr: PointRayCorrespondence, rotation, translation) -> np.nda
     return y - v * (v @ y)
 
 
+def _stacked(corrs: Sequence[PointRayCorrespondence]):
+    """-> (points, bearings, offsets), each (N, 3)."""
+    if len(corrs) == 0:
+        raise EmptyData("no point-ray correspondences")
+    points = np.array([corr.point for corr in corrs])
+    bearings = np.array([corr.ray.bearing for corr in corrs])
+    offsets = np.array([corr.ray.offset for corr in corrs])
+    return points, bearings, offsets
+
+
+def _projected_rows(points, proj, offsets) -> np.ndarray:
+    """Row blocks [x_i' kron P_i, P_i, -P_i c_i], shape (N, 3, 13)."""
+    n = len(points)
+    rows = np.empty((n, 3, 13))
+    rows[:, :, :9] = (points[:, None, :, None] * proj[:, :, None, :]).reshape(n, 3, 9)
+    rows[:, :, 9:12] = proj
+    rows[:, :, 12] = -np.einsum("iab,ib->ia", proj, offsets)
+    return rows
+
+
+def gpnp_rows(corrs: Sequence[PointRayCorrespondence]) -> np.ndarray:
+    """Residual rows (3N, 13) of the point-to-ray distances.
+
+    Row block i is [x_i' kron P_i, P_i, -P_i c_i] with P_i = I - vv'/(v'v),
+    so that it maps phi = [vec(R); t; 1] to P_i (R x_i + t - c_i).
+    """
+    points, bearings, offsets = _stacked(corrs)
+    outer = bearings[:, :, None] * bearings[:, None, :]
+    proj = np.eye(3) - outer / np.einsum("ia,ia->i", bearings, bearings)[:, None, None]
+    return _projected_rows(points, proj, offsets).reshape(-1, 13)
+
+
 def build_gpnp_form(corrs: Sequence[PointRayCorrespondence]) -> QuadraticPoseForm:
     """Fold the summed squared point-to-ray distances into a quadratic form.
 
-    With Q = (I - vv')'(I - vv') per correspondence (a projector for unit
-    bearings), expanding sum ||(I - vv')(R x + t - c)||^2 in r = vec(R) and
-    t gives the six coefficient blocks accumulated here. Fewer than three
-    correspondences leave the pose underdetermined; the form is still
-    built but flagged not well posed.
+    Fewer than three correspondences leave the pose underdetermined; the
+    form is still built.
     """
-    if len(corrs) == 0:
-        raise EmptyData("no point-ray correspondences")
-    m_rr = np.zeros((9, 9))
-    v_r = np.zeros(9)
-    m_tr = np.zeros((3, 9))
-    m_tt = np.zeros((3, 3))
-    v_t = np.zeros(3)
-    const = 0.0
-    eye = np.eye(3)
-    for corr in corrs:
-        v = corr.ray.bearing
-        x = corr.point
-        c = corr.ray.offset
-        proj = eye - np.outer(v, v) / float(v @ v)
-        q = proj.T @ proj
-        kq = np.kron(x, q)                  # (3, 9): x' kron Q
-        m_rr += kq.T @ kq
-        v_r += -2.0 * np.kron(x, c @ q)     # (x' kron c'Q)'
-        m_tr += 2.0 * kq
-        m_tt += q
-        v_t += -2.0 * (q @ c)
-        const += float(c @ q @ c)
-    return QuadraticPoseForm(m_rr=0.5 * (m_rr + m_rr.T), v_r=v_r, m_tr=m_tr,
-                             m_tt=0.5 * (m_tt + m_tt.T), v_t=v_t, c=const,
-                             well_posed=len(corrs) >= 3)
-
-
-@dataclass(frozen=True)
-class UpnpFactorization:
-    """Depth rows of the stacked system's left pseudo-inverse.
-
-    The stacked constraints are A [alpha; t] = rhs with A holding one
-    bearing column per depth and -I blocks for the translation.
-    ``u_blocks[i, j]`` is the 3-vector slice of row i of
-    U = top N rows of (A'A)^{-1} A' that multiplies residual block j, so
-    U @ A = [I | 0] up to rounding. Rows of U sum to zero across blocks,
-    which is what makes the recovered depths independent of t.
-    """
-
-    u_blocks: np.ndarray  # (n, n, 3)
-
-    def __post_init__(self):
-        u = np.asarray(self.u_blocks, dtype=float)
-        if u.ndim != 3 or u.shape[0] != u.shape[1] or u.shape[2] != 3:
-            raise ValueError(f"u_blocks must be (n, n, 3), got {u.shape}")
-        object.__setattr__(self, "u_blocks", u)
-
-    @property
-    def u(self) -> np.ndarray:
-        """U as an (n, 3n) matrix."""
-        n = self.u_blocks.shape[0]
-        return self.u_blocks.reshape(n, 3 * n)
+    return QuadraticPoseForm.from_rows(gpnp_rows(corrs))
 
 
 def _depth_system_min_eigenvalue(bearings: np.ndarray) -> float:
@@ -128,70 +109,42 @@ def _depth_system_min_eigenvalue(bearings: np.ndarray) -> float:
     return min(1.0, float(small_roots.min()))
 
 
-def build_upnp_factorization(corrs: Sequence[PointRayCorrespondence]) -> UpnpFactorization:
-    """Pseudo-inverse depth rows for the stacked depth/translation system.
+def upnp_rows(corrs: Sequence[PointRayCorrespondence]) -> np.ndarray:
+    """Residual rows (3N, 13) of the depth-eliminated ray residuals.
 
-    Exploits the arrow structure of A'A (diagonal depth block bordered by
-    a three-column strip) so the build is O(N) assembly plus O(N^2) block
-    products rather than a dense 3N factorization. Raises
-    RankDeficientSystem for degenerate ray geometry, e.g. all bearings
-    parallel from a single center.
+    The stacked system A [alpha; t] = stack(R p_i - c_i), with one bearing
+    column per depth and -I blocks for t, has the joint least-squares
+    depths alpha_i = v_i'y_i - w_i' sum_j P_j y_j for y_j = R p_j - c_j,
+    where P_j = I - v_j v_j', S = N I - B'B and w_i = S^{-1} v_i (the rows
+    of W = B S^{-1}). The depths do not depend on t. Substituting them,
+    eta_i = G_i r - t + d_i with
+
+        G_i = -(p_i' kron P_i) - v_i (w_i' K),  K = sum_j p_j' kron P_j,
+        d_i = P_i c_i + v_i (w_i' k_c),         k_c = sum_j P_j c_j,
+
+    and K and k_c need only the 3x3x3 moment sum_j v_j kron p_j kron v_j
+    and the sums of p_j, c_j and v_j (v_j . c_j). Row block i is
+    [G_i, -I, d_i]. Raises RankDeficientSystem for degenerate ray
+    geometry, e.g. all bearings parallel from a single center.
     """
-    if len(corrs) == 0:
-        raise EmptyData("no point-ray correspondences")
-    bearings = np.stack([corr.ray.bearing for corr in corrs])
-    n = len(corrs)
+    points, bearings, offsets = _stacked(corrs)
+    n = len(points)
     if _depth_system_min_eigenvalue(bearings) < _RANK_TOL:
         raise RankDeficientSystem(
             "stacked depth system lost column rank (degenerate ray geometry)")
-    schur = n * np.eye(3) - bearings.T @ bearings
-    w = bearings @ np.linalg.inv(schur)             # rows v_i' S^{-1}
-    gram = w @ bearings.T                           # v_i' S^{-1} v_j
-    u_blocks = (np.eye(n) + gram)[:, :, None] * bearings[None, :, :] - w[:, None, :]
-    return UpnpFactorization(u_blocks)
-
-
-def upnp_depth(fact: UpnpFactorization, corrs: Sequence[PointRayCorrespondence],
-               index: int, rotation, translation) -> float:
-    """Joint least-squares depth of ray ``index`` at the given pose.
-
-    The translation cancels exactly because each row of U sums to zero
-    across blocks; it is accepted (and folded in) so callers can observe
-    that invariance rather than trust it.
-    """
-    rotation = np.asarray(rotation, dtype=float)
-    translation = np.asarray(translation, dtype=float)
-    points = np.stack([corr.point for corr in corrs])
-    offsets = np.stack([corr.ray.offset for corr in corrs])
-    rhs = points @ rotation.T + translation - offsets
-    return float(np.sum(fact.u_blocks[index] * rhs))
+    w = bearings @ np.linalg.inv(n * np.eye(3) - bearings.T @ bearings)
+    proj = np.eye(3) - bearings[:, :, None] * bearings[:, None, :]
+    moment = np.einsum("ja,jk,jm->akm", bearings, points, bearings)
+    k_mat = (np.einsum("k,am->akm", points.sum(axis=0), np.eye(3))
+             - moment).reshape(3, 9)
+    k_c = offsets.sum(axis=0) - bearings.T @ np.einsum("ja,ja->j", bearings, offsets)
+    rows = -_projected_rows(points, proj, offsets)
+    rows[:, :, :9] -= bearings[:, :, None] * (w @ k_mat)[:, None, :]
+    rows[:, :, 9:12] = -np.eye(3)
+    rows[:, :, 12] += bearings * (w @ k_c)[:, None]
+    return rows.reshape(-1, 13)
 
 
 def build_upnp_form(corrs: Sequence[PointRayCorrespondence]) -> QuadraticPoseForm:
-    """Fold the depth-eliminated residuals into a quadratic form.
-
-    With G_i = sum_j v_i (p_j' kron u_ij') - (p_i' kron I) and
-    d_i = c_i - (sum_j u_ij . c_j) v_i, the residual is
-    eta_i = G_i r + d_i - t and the blocks below accumulate
-    sum ||eta_i||^2.
-    """
-    fact = build_upnp_factorization(corrs)
-    n = len(corrs)
-    bearings = np.stack([corr.ray.bearing for corr in corrs])
-    points = np.stack([corr.point for corr in corrs])
-    offsets = np.stack([corr.ray.offset for corr in corrs])
-    # T[i] = sum_j p_j' kron u_ij', laid out so T[i] @ vec(R) = sum_j u_ij . (R p_j)
-    t_rows = np.einsum("ja,ijb->iab", points, fact.u_blocks).reshape(n, 9)
-    g_mats = bearings[:, :, None] * t_rows[:, None, :]
-    g_mats -= np.einsum("ia,bc->ibac", points, np.eye(3)).reshape(n, 3, 9)
-    depth_of_offsets = np.einsum("ijb,jb->i", fact.u_blocks, offsets)
-    d_vecs = offsets - depth_of_offsets[:, None] * bearings
-    m_rr = np.einsum("iab,iac->bc", g_mats, g_mats)
-    v_r = 2.0 * np.einsum("iab,ia->b", g_mats, d_vecs)
-    m_tr = -2.0 * g_mats.sum(axis=0)
-    m_tt = float(n) * np.eye(3)
-    v_t = -2.0 * d_vecs.sum(axis=0)
-    const = float(np.sum(d_vecs * d_vecs))
-    return QuadraticPoseForm(m_rr=0.5 * (m_rr + m_rr.T), v_r=v_r, m_tr=m_tr,
-                             m_tt=m_tt, v_t=v_t, c=const,
-                             well_posed=len(corrs) >= 3)
+    """Fold the summed squared depth-eliminated residuals into a quadratic form."""
+    return QuadraticPoseForm.from_rows(upnp_rows(corrs))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .absolute import PointRayCorrespondence, build_gpnp_form, build_upnp_form
 from .amm import AmmConfig, AmmResult, solve_amm
-from .exceptions import PoseSolverError
+from .exceptions import PoseSolverError, RankDeficientSystem
 from .geometry import ObservedRay, PlueckerLine, Pose, rodrigues_step
 from .initializers import init_absolute_linear, init_identity, init_relative_17pt
 from .relative import RayCorrespondence, build_gec_form
@@ -52,6 +52,10 @@ THREADS_ENV = "POSEAMM_THREADS"
 _MIN_CAMERA_DISTANCE_RATIO = 0.25
 
 _TRACE_SLACK = 1e-12
+
+# GEC quadrics whose vec(R) rows carry at most this share of the norm come
+# from central cameras on both sides.
+_CENTRAL_GEC_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -245,9 +249,19 @@ def mean_records(records: Sequence[TrialRecord]) -> list:
 
 
 def build_objective(solver: str, corrs):
-    """The objective a named solver minimizes over the given correspondences."""
+    """The objective a named solver minimizes over the given correspondences.
+
+    Raises RankDeficientSystem for GEC data from two central cameras: all
+    Plücker moments vanish, so the rows of M that couple vec(R) are zero
+    and the scale of the translation cannot be observed.
+    """
     if solver == SOLVER_GEC:
-        return build_gec_form(corrs)
+        form = build_gec_form(corrs)
+        coupling = np.linalg.norm(form.m[9:, :])
+        if coupling <= _CENTRAL_GEC_TOL * np.linalg.norm(form.m):
+            raise RankDeficientSystem(
+                "central relative data: the translation scale is unobservable")
+        return form
     if solver == SOLVER_GPNP:
         return build_gpnp_form(corrs)
     if solver == SOLVER_UPNP:

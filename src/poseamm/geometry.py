@@ -78,11 +78,6 @@ def unvec(r) -> np.ndarray:
     return np.asarray(r, dtype=float).reshape((3, 3), order="F")
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two vectors: out[len(b)*i + j] = a[i] * b[j]."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 

@@ -14,7 +14,7 @@ import numpy as np
 from .exceptions import DegenerateNullspace, InsufficientData, SingularSystem
 from .geometry import Pose, project_to_so3, unskew, unvec
 from .objectives import QuadraticPoseForm
-from .relative import RayCorrespondence, build_gec_vector
+from .relative import RayCorrespondence, gec_rows
 
 
 def init_identity() -> Pose:
@@ -25,17 +25,19 @@ def init_identity() -> Pose:
 def init_relative_17pt(corrs: Sequence[RayCorrespondence]) -> Pose:
     """Nullspace estimate of [vec(E); vec(R)] from stacked constraint rows.
 
-    Stacks the per-correspondence coefficient vectors into an N x 18
+    Stacks the per-correspondence coefficient rows into an N x 18
     matrix and takes the right singular vector of the smallest singular
-    value. The rotation block is scaled and sign-fixed (17 constraints pin
-    the stacked variable only up to one global scale and sign), projected
-    to SO(3), and the translation recovered from skew(t) = E R'.
+    value from a thin SVD, which never forms the N x N left factor. The
+    rotation block is scaled and sign-fixed (17 constraints pin the
+    stacked variable only up to one global scale and sign), projected to
+    SO(3), and the translation recovered from skew(t) = E R'.
     """
     if len(corrs) < 17:
         raise InsufficientData(
             f"need at least 17 ray correspondences, got {len(corrs)}")
-    stack = np.stack([build_gec_vector(c) for c in corrs])
-    _, svals, vt = np.linalg.svd(stack)
+    stack = gec_rows(corrs)
+    # Seventeen rows need the full factorization to reach the 18th vector.
+    _, svals, vt = np.linalg.svd(stack, full_matrices=len(corrs) < 18)
     # For exactly 17 rows the 18th singular value is an implicit zero.
     gap = svals[-2] - svals[-1] if len(svals) >= 18 else svals[-1]
     if gap <= 1e-10 * svals[0]:
@@ -60,7 +62,9 @@ def init_absolute_linear(form: QuadraticPoseForm) -> Pose:
 
     Solves the joint 12x12 linear stationarity system in (vec(R), t),
     ignoring orthonormality, then projects the rotation block and
-    recomputes the translation exactly at the projected rotation.
+    recomputes the translation exactly at the projected rotation. Twelve
+    unknowns need at least six correspondences; fewer leave the system
+    singular and raise SingularSystem.
 
     Single-center data makes the form homogeneous (no linear terms), which
     turns the stationarity system into a gauge problem: every multiple of

@@ -5,6 +5,9 @@ A quadratic form stores six coefficient blocks of
     F(R, t) = r'M_rr r + v_r'r + t'M_tr r + t'M_tt t + v_t't + c,
 with r = vec(R), so evaluating the objective or its gradients costs the
 same no matter how many correspondences were folded into the blocks.
+Builders emit stacked residual rows A against phi = [vec(R); t; 1], so
+F = ||A phi||^2, and ``QuadraticPoseForm.from_rows`` reads all six blocks
+off the one 13x13 fold A'A.
 Fixing either block leaves a quadric in the other, which the form hands
 to the solver through ``rotation_quadric`` and ``translation_quadric``.
 """
@@ -60,11 +63,7 @@ def _scaled_tol(base: float, magnitude: float) -> float:
 
 @dataclass(frozen=True)
 class QuadraticPoseForm(PoseObjective):
-    """Pose objective compressed into fixed-size quadratic coefficients.
-
-    ``well_posed`` is cleared by builders that received too little data to
-    pin down every degree of freedom; evaluation still works.
-    """
+    """Pose objective compressed into fixed-size quadratic coefficients."""
 
     m_rr: np.ndarray  # (9, 9), symmetric
     v_r: np.ndarray   # (9,)
@@ -72,7 +71,6 @@ class QuadraticPoseForm(PoseObjective):
     m_tt: np.ndarray  # (3, 3), symmetric PSD
     v_t: np.ndarray   # (3,)
     c: float
-    well_posed: bool = True
 
     def __post_init__(self):
         m_rr = np.asarray(self.m_rr, dtype=float)
@@ -97,6 +95,20 @@ class QuadraticPoseForm(PoseObjective):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
+
+    @staticmethod
+    def from_rows(rows) -> "QuadraticPoseForm":
+        """The form ||A phi||^2 of residual rows A (k, 13), phi = [vec(R); t; 1].
+
+        H = A'A is formed once; m_rr, m_tt and c are its diagonal blocks,
+        m_tr, v_r and v_t twice its off-diagonal ones.
+        """
+        h = np.asarray(rows, dtype=float)
+        h = h.T @ h
+        h = 0.5 * (h + h.T)
+        return QuadraticPoseForm(m_rr=h[:9, :9].copy(), v_r=2.0 * h[12, :9],
+                                 m_tr=2.0 * h[9:12, :9], m_tt=h[9:12, 9:12].copy(),
+                                 v_t=2.0 * h[12, 9:12], c=float(h[12, 12]))
 
     @staticmethod
     def zero() -> "QuadraticPoseForm":

@@ -4,9 +4,10 @@ Two projection rays, one per camera frame, intersect exactly when
 l1' [[E, R], [R, 0]] l2 = 0 with E = skew(t) R, where l1, l2 are the
 Plücker 6-vectors and (R, t) maps frame-2 coordinates into frame 1.
 Expanding the bilinear form per correspondence gives a coefficient
-18-vector a_i against the stacked variable v = [vec(E); vec(R)];
-accumulating M = sum_i a_i a_i' turns the summed squared constraint into
-the single quadric v'Mv, evaluable in time independent of the number of
+18-vector a_i against the stacked variable v = [vec(E); vec(R)]; the rows
+of all correspondences are built in one vectorized pass, and the fold
+M = A'A = sum_i a_i a_i' turns the summed squared constraint into the
+single quadric v'Mv, evaluable in time independent of the number of
 correspondences.
 
 v is linear in each block when the other is fixed: v = L_t r with
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import EmptyData
-from .geometry import PlueckerLine, kron, skew, unvec, vec
+from .geometry import PlueckerLine, skew, unvec, vec
 from .objectives import PoseObjective
 
 
@@ -35,23 +36,25 @@ class RayCorrespondence:
     line2: PlueckerLine
 
 
-def build_gec_vector(corr: RayCorrespondence) -> np.ndarray:
-    """Coefficient 18-vector a with a @ v = l1' [[E,R],[R,0]] l2.
+def gec_rows(corrs: Sequence[RayCorrespondence]) -> np.ndarray:
+    """Coefficient rows (N, 18) with rows @ v = l1' [[E,R],[R,0]] l2.
 
-    Built from the 36-entry Kronecker row (l2' kron l1') indexing the
-    stacked 6x6 block matrix: nine entries multiply vec(E), two groups of
-    nine both multiply vec(R) and are summed, and the nine that multiply
-    the zero block are dropped.
+    With l = (d; m), the bilinear form is d1'E d2 + d1'R m2 + m1'R d2, so
+    row i is [d2 kron d1, d2 kron m1 + m2 kron d1], built for all
+    correspondences in one broadcast.
     """
-    k = kron(corr.line2.as_vector(), corr.line1.as_vector())
-    a = np.empty(18)
-    a[0:3] = k[0:3]
-    a[3:6] = k[6:9]
-    a[6:9] = k[12:15]
-    a[9:12] = k[3:6] + k[18:21]
-    a[12:15] = k[9:12] + k[24:27]
-    a[15:18] = k[15:18] + k[30:33]
-    return a
+    if len(corrs) == 0:
+        raise EmptyData("no ray correspondences")
+    d1 = np.array([c.line1.direction for c in corrs])
+    m1 = np.array([c.line1.moment for c in corrs])
+    d2 = np.array([c.line2.direction for c in corrs])
+    m2 = np.array([c.line2.moment for c in corrs])
+    n = len(d1)
+    rows = np.empty((n, 18))
+    rows[:, :9] = (d2[:, :, None] * d1[:, None, :]).reshape(n, 9)
+    rows[:, 9:] = (d2[:, :, None] * m1[:, None, :]
+                   + m2[:, :, None] * d1[:, None, :]).reshape(n, 9)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,6 @@ class GecForm(PoseObjective):
         flat = 2.0 * (vec(-th @ unvec(mv[:9])) + mv[9:])
         return unvec(flat)
 
-    def rotation_gradient_flat(self, rotation, translation) -> np.ndarray:
-        return vec(self.rotation_gradient(rotation, translation))
-
     def rotation_quadric(self, translation):
         """(L_t'M L_t, 0, 0): the objective as r'Pr at this translation."""
         lift = np.vstack([np.kron(np.eye(3), skew(translation)), np.eye(9)])
@@ -122,11 +122,6 @@ class GecForm(PoseObjective):
 
 
 def build_gec_form(corrs: Sequence[RayCorrespondence]) -> GecForm:
-    """Accumulate M = sum_i a_i a_i' over the correspondences."""
-    if len(corrs) == 0:
-        raise EmptyData("no ray correspondences")
-    m = np.zeros((18, 18))
-    for corr in corrs:
-        a = build_gec_vector(corr)
-        m += np.outer(a, a)
-    return GecForm(m)
+    """The quadric M = A'A = sum_i a_i a_i' of the stacked rows A."""
+    rows = gec_rows(corrs)
+    return GecForm(rows.T @ rows)

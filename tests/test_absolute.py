@@ -4,8 +4,7 @@ import pytest
 from conftest import (fd_rotation_gradient, fd_translation_gradient,
                       random_pose_arrays, relative_gradient_error)
 from poseamm.absolute import (PointRayCorrespondence, build_gpnp_form,
-                              build_upnp_factorization, build_upnp_form,
-                              gpnp_residual, upnp_depth)
+                              build_upnp_form, gpnp_residual, upnp_rows)
 from poseamm.bench import SceneConfig, generate_absolute_scene
 from poseamm.exceptions import EmptyData, RankDeficientSystem
 from poseamm.geometry import ObservedRay
@@ -31,8 +30,34 @@ def stacked_system(corrs):
     return a
 
 
-def stacked_rhs(corrs, rotation):
-    return np.concatenate([rotation @ c.point - c.ray.offset for c in corrs])
+def stacked_rhs(corrs, rotation, translation=0.0):
+    return np.concatenate([rotation @ c.point + translation - c.ray.offset
+                           for c in corrs])
+
+
+def lifted(rotation, translation):
+    """phi = [vec(R); t; 1], the variable the residual rows act on."""
+    return np.concatenate([rotation.reshape(9, order="F"), translation, [1.0]])
+
+
+def eliminated_residuals(corrs, rotation, translation):
+    """eta_i = alpha_i v_i + c_i - R p_i - t, from the UPnP residual rows."""
+    return (upnp_rows(corrs) @ lifted(rotation, translation)).reshape(-1, 3)
+
+
+def eliminated_depths(corrs, rotation, translation):
+    """alpha_i = v_i . (eta_i - c_i + R p_i + t), read back from the rows."""
+    eta = eliminated_residuals(corrs, rotation, translation)
+    return np.array([c.ray.bearing @ (e - c.ray.offset + rotation @ c.point
+                                      + translation)
+                     for c, e in zip(corrs, eta)])
+
+
+def dense_depths(corrs, rotation, translation):
+    """Depths of the dense least-squares solve of the stacked system."""
+    sol, *_ = np.linalg.lstsq(stacked_system(corrs),
+                              stacked_rhs(corrs, rotation, translation), rcond=None)
+    return sol[:len(corrs)]
 
 
 class TestGpnpResidual:
@@ -79,7 +104,6 @@ class TestBuildGpnpForm:
         np.testing.assert_array_equal(form.v_t, np.zeros(3))
         assert form.c == 0.0
         np.testing.assert_array_equal(form.m_rr, np.zeros((9, 9)))
-        assert not form.well_posed
 
     def test_zero_at_truth(self):
         truth, corrs = generate_absolute_scene(SceneConfig(seed=21))
@@ -131,28 +155,41 @@ class TestBuildGpnpForm:
 
 
 class TestUpnpFactorization:
+    """The O(N) depth elimination behind the UPnP rows."""
+
     def test_orthogonal_bearings_succeed(self):
         corrs = [PointRayCorrespondence(np.array([5.0, 0, 0]),
                                         ObservedRay(np.eye(3)[i], 0.1 * np.eye(3)[i]))
                  for i in range(3)]
-        fact = build_upnp_factorization(corrs)
-        assert fact.u_blocks.shape == (3, 3, 3)
+        assert upnp_rows(corrs).shape == (9, 13)
 
-    def test_pseudo_inverse_rows(self):
-        _, corrs = generate_absolute_scene(SceneConfig(seed=9))
-        fact = build_upnp_factorization(corrs)
-        n = len(corrs)
-        target = np.hstack([np.eye(n), np.zeros((n, 3))])
-        assert np.linalg.norm(fact.u @ stacked_system(corrs) - target) < 1e-8
+    def test_pseudo_inverse_rows(self, rng):
+        # The elimination is a left inverse of the stacked system: points
+        # placed at any depths on their rays give back exactly those depths
+        # and a zero residual.
+        for _ in range(10):
+            rotation, translation = random_pose_arrays(rng)
+            n = 8
+            bearings = rng.normal(size=(n, 3))
+            bearings /= np.linalg.norm(bearings, axis=1)[:, None]
+            offsets = rng.uniform(-0.5, 0.5, size=(n, 3))
+            depths = rng.uniform(1.0, 9.0, size=n)
+            cam = depths[:, None] * bearings + offsets
+            corrs = [PointRayCorrespondence(rotation.T @ (x - translation),
+                                            ObservedRay(v, c))
+                     for x, v, c in zip(cam, bearings, offsets)]
+            np.testing.assert_allclose(
+                eliminated_depths(corrs, rotation, translation), depths, atol=1e-9)
+            residuals = eliminated_residuals(corrs, rotation, translation)
+            assert np.abs(residuals).max() < 1e-9
 
     def test_matches_dense_least_squares(self, rng):
         for seed in range(20):
             _, corrs = generate_absolute_scene(SceneConfig(seed=seed))
-            fact = build_upnp_factorization(corrs)
-            rotation, _ = random_pose_arrays(rng)
-            rhs = stacked_rhs(corrs, rotation)
-            dense, *_ = np.linalg.lstsq(stacked_system(corrs), rhs, rcond=None)
-            np.testing.assert_allclose(fact.u @ rhs, dense[:len(corrs)], atol=1e-9)
+            rotation, translation = random_pose_arrays(rng)
+            np.testing.assert_allclose(
+                eliminated_depths(corrs, rotation, translation),
+                dense_depths(corrs, rotation, translation), atol=1e-9)
 
     def test_parallel_bearings_raise(self):
         bearing = np.array([0.0, 0.0, 1.0])
@@ -160,52 +197,54 @@ class TestUpnpFactorization:
                                         ObservedRay(bearing, np.zeros(3)))
                  for i in range(5)]
         with pytest.raises(RankDeficientSystem):
-            build_upnp_factorization(corrs)
+            upnp_rows(corrs)
 
     def test_rows_annihilate_translation(self):
-        # sum_j u_ij = 0: the property that removes t from the depths.
+        # t enters each residual only as -t: the depths do not depend on it.
         _, corrs = generate_absolute_scene(SceneConfig(seed=14))
-        fact = build_upnp_factorization(corrs)
-        np.testing.assert_allclose(fact.u_blocks.sum(axis=1),
-                                   np.zeros((len(corrs), 3)), atol=1e-12)
+        rows = upnp_rows(corrs).reshape(-1, 3, 13)
+        np.testing.assert_array_equal(rows[:, :, 9:12],
+                                      np.broadcast_to(-np.eye(3), (len(corrs), 3, 3)))
 
 
 class TestUpnpDepth:
     def test_recovers_true_depths(self):
         config = SceneConfig(seed=17)
         truth, corrs = generate_absolute_scene(config)
-        fact = build_upnp_factorization(corrs)
+        got = eliminated_depths(corrs, truth.rotation, truth.translation)
         for i, corr in enumerate(corrs):
             cam_point = truth.rotation @ corr.point + truth.translation
             true_depth = float(np.linalg.norm(cam_point - corr.ray.offset))
-            got = upnp_depth(fact, corrs, i, truth.rotation, truth.translation)
-            assert got == pytest.approx(true_depth, abs=1e-9)
+            assert got[i] == pytest.approx(true_depth, abs=1e-9)
 
     def test_central_point_at_distance(self):
         truth, corrs = generate_absolute_scene(SceneConfig(seed=2, rig="central"))
-        fact = build_upnp_factorization(corrs)
-        depth = upnp_depth(fact, corrs, 0, truth.rotation, truth.translation)
+        depth = eliminated_depths(corrs, truth.rotation, truth.translation)[0]
         cam_point = truth.rotation @ corrs[0].point + truth.translation
         assert depth == pytest.approx(float(np.linalg.norm(cam_point)), abs=1e-9)
 
     def test_independent_of_translation(self, rng):
         _, corrs = generate_absolute_scene(SceneConfig(seed=23, noise_sigma_px=2.0))
-        fact = build_upnp_factorization(corrs)
         rotation, _ = random_pose_arrays(rng)
+        depths = np.array([eliminated_depths(corrs, rotation, rng.uniform(-5, 5, 3))
+                           for _ in range(5)])
         for i in (0, 7, 19):
-            values = [upnp_depth(fact, corrs, i, rotation, rng.uniform(-5, 5, 3))
-                      for _ in range(5)]
-            assert max(values) - min(values) < 1e-12 * max(1.0, abs(values[0]))
+            values = depths[:, i]
+            assert values.max() - values.min() < 1e-12 * max(1.0, abs(values[0]))
 
     def test_matches_dense_alpha_block(self, rng):
-        _, corrs = generate_absolute_scene(SceneConfig(seed=29))
-        fact = build_upnp_factorization(corrs)
-        rotation, _ = random_pose_arrays(rng)
-        dense, *_ = np.linalg.lstsq(stacked_system(corrs),
-                                    stacked_rhs(corrs, rotation), rcond=None)
-        for i in range(len(corrs)):
-            got = upnp_depth(fact, corrs, i, rotation, np.zeros(3))
-            assert got == pytest.approx(float(dense[i]), abs=1e-9)
+        # The eliminated residual is the residual at the dense
+        # least-squares depths, at any pose.
+        _, corrs = generate_absolute_scene(SceneConfig(seed=29, noise_sigma_px=3.0))
+        for _ in range(10):
+            rotation, translation = random_pose_arrays(rng)
+            alpha = dense_depths(corrs, rotation, translation)
+            expected = np.array([a * c.ray.bearing + c.ray.offset
+                                 - rotation @ c.point - translation
+                                 for a, c in zip(alpha, corrs)])
+            np.testing.assert_allclose(
+                eliminated_residuals(corrs, rotation, translation), expected,
+                atol=1e-9)
 
 
 class TestBuildUpnpForm:
@@ -222,16 +261,16 @@ class TestBuildUpnpForm:
 
     def test_residual_recomposition(self, rng):
         # Primary correctness gate: the form must equal the summed squared
-        # depth-eliminated residuals with depths from the factorization.
+        # depth-eliminated residuals with depths from the dense solve.
         for seed in range(100):
             _, corrs = generate_absolute_scene(
                 SceneConfig(seed=seed, noise_sigma_px=4.0, num_correspondences=10))
-            fact = build_upnp_factorization(corrs)
             form = build_upnp_form(corrs)
             rotation, translation = random_pose_arrays(rng)
+            depths = dense_depths(corrs, rotation, translation)
             expected = 0.0
             for i, corr in enumerate(corrs):
-                alpha = upnp_depth(fact, corrs, i, rotation, translation)
+                alpha = depths[i]
                 eta = (alpha * corr.ray.bearing + corr.ray.offset
                        - rotation @ corr.point - translation)
                 expected += float(eta @ eta)

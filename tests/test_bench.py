@@ -9,6 +9,7 @@ from poseamm.absolute import build_gpnp_form, build_upnp_form
 from poseamm.bench import (SceneConfig, TrialRecord, apply_pixel_noise,
                            generate_absolute_scene, generate_relative_scene,
                            mean_records, pose_errors, run_sweep)
+from poseamm.exceptions import RankDeficientSystem
 from poseamm.geometry import Pose, rodrigues_step, skew
 from poseamm.relative import build_gec_form
 
@@ -224,6 +225,22 @@ class TestRunSweep:
         assert all(r.wall_time_ns == 0 for r in untimed)
         strip = lambda recs: [dataclasses.replace(r, wall_time_ns=0) for r in recs]
         assert strip(timed) == strip(untimed)
+
+    def test_central_relative_rig_rejected(self):
+        # Both cameras central: the GEC rows never couple vec(R), so the
+        # translation scale is unobservable and identity-seeded solves
+        # would return t = 0 with objective 0. They become failed records.
+        config = SceneConfig(seed=12, rig="central")
+        _, corrs = generate_relative_scene(config)
+        with pytest.raises(RankDeficientSystem):
+            bench.build_objective(bench.SOLVER_GEC, corrs)
+        records = run_sweep(config, "relative", [0.0, 2.0], trials=2,
+                            init="identity", measure_time=False)
+        assert len(records) == 4
+        for record in records:
+            assert not record.converged
+            assert math.isinf(record.final_objective)
+            assert math.isinf(record.trans_err_norm)
 
     def test_identity_init_sweep(self):
         records = run_sweep(SceneConfig(seed=11, rig="central"), "absolute",

@@ -167,8 +167,8 @@ class TestCliSolve:
         fileio.write_correspondence_file(path, "absolute", corrs)
         return truth, path
 
-    def _write_relative_scene(self, tmp_path, seed=5):
-        truth, corrs = generate_relative_scene(SceneConfig(seed=seed))
+    def _write_relative_scene(self, tmp_path, seed=5, rig="non_central"):
+        truth, corrs = generate_relative_scene(SceneConfig(seed=seed, rig=rig))
         path = tmp_path / "scene.txt"
         fileio.write_correspondence_file(path, "relative", corrs)
         return truth, path
@@ -231,5 +231,12 @@ class TestCliSolve:
         path.write_text("\n".join(lines) + "\n")
         code = cli.main(["solve", "--input", str(path), "--solver", "amm-upnp",
                          "--t0", "0,0,0"])
+        assert code == 1
+        assert "RankDeficientSystem" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t0", [[], ["--t0", "0,0,0"]])
+    def test_central_relative_rig_exits_1(self, tmp_path, capsys, t0):
+        _, path = self._write_relative_scene(tmp_path, rig="central")
+        code = cli.main(["solve", "--input", str(path), "--solver", "amm-gec"] + t0)
         assert code == 1
         assert "RankDeficientSystem" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_rotation
 from poseamm.exceptions import AmbiguousProjection
-from poseamm.geometry import (ObservedRay, PlueckerLine, Pose, kron,
+from poseamm.geometry import (ObservedRay, PlueckerLine, Pose,
                               project_to_so3, rodrigues_step, skew, unskew,
                               unvec, vec)
 
@@ -129,7 +129,7 @@ class TestVecKron:
         np.testing.assert_array_equal(unvec(vec(m)), m)
 
     def test_kron_basis(self):
-        np.testing.assert_array_equal(kron([1, 0], [0, 1]), [0, 1, 0, 0])
+        np.testing.assert_array_equal(np.kron([1, 0], [0, 1]), [0, 1, 0, 0])
 
     def test_kron_unit_vectors_six_dimensional(self):
         e2 = np.zeros(6)
@@ -138,14 +138,15 @@ class TestVecKron:
         e1[0] = 1.0
         expected = np.zeros(36)
         expected[6] = 1.0
-        np.testing.assert_array_equal(kron(e2, e1), expected)
+        np.testing.assert_array_equal(np.kron(e2, e1), expected)
 
     def test_kron_vec_identity(self, rng):
         # (a' kron b') vec(M) == b' M a
         for _ in range(50):
             m = rng.normal(size=(3, 3))
             a, b = rng.normal(size=3), rng.normal(size=3)
-            np.testing.assert_allclose(kron(a, b) @ vec(m), b @ m @ a, atol=1e-12)
+            np.testing.assert_allclose(np.kron(a, b) @ vec(m), b @ m @ a,
+                                       atol=1e-12)
 
     def test_kron_vec_rotation_identity(self, rng):
         # (x' kron I) vec(R) == R x

@@ -10,7 +10,7 @@ from poseamm.exceptions import (DegenerateNullspace, InsufficientData,
 from poseamm.geometry import ObservedRay, rodrigues_step, skew, vec
 from poseamm.initializers import (init_absolute_linear, init_identity,
                                   init_relative_17pt)
-from poseamm.relative import build_gec_vector
+from poseamm.relative import gec_rows
 
 
 class TestInitRelative17pt:
@@ -44,7 +44,7 @@ class TestInitRelative17pt:
     def test_nullspace_residual_small(self):
         truth, corrs = generate_relative_scene(SceneConfig(seed=3))
         pose = init_relative_17pt(corrs)
-        stack = np.stack([build_gec_vector(c) for c in corrs])
+        stack = gec_rows(corrs)
         essential = skew(pose.translation) @ pose.rotation
         v = np.concatenate([vec(essential), vec(pose.rotation)])
         v /= np.linalg.norm(v)
@@ -99,6 +99,21 @@ class TestInitAbsoluteLinear:
         assert np.linalg.svd(k, compute_uv=False)[-1] < 1e-12
         with pytest.raises(SingularSystem):
             init_absolute_linear(form)
+
+    @pytest.mark.parametrize("rig", ["central", "non_central"])
+    @pytest.mark.parametrize("build", [build_gpnp_form, build_upnp_form])
+    def test_needs_six_correspondences(self, build, rig):
+        # Twelve unknowns: five correspondences leave the system singular.
+        for n, seed in ((5, 0), (5, 1), (6, 0), (6, 1)):
+            truth, corrs = generate_absolute_scene(
+                SceneConfig(seed=seed, rig=rig, num_correspondences=n))
+            form = build(corrs)
+            if n == 5:
+                with pytest.raises(SingularSystem):
+                    init_absolute_linear(form)
+            else:
+                rot_err, _ = pose_errors(truth, init_absolute_linear(form))
+                assert rot_err < 1e-6
 
     def test_result_satisfies_pose_invariants(self):
         _, corrs = generate_absolute_scene(SceneConfig(seed=11, noise_sigma_px=8.0))

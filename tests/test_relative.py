@@ -8,7 +8,7 @@ from poseamm.bench import SceneConfig, generate_relative_scene
 from poseamm.exceptions import EmptyData
 from poseamm.geometry import PlueckerLine, skew, unvec, vec
 from poseamm.relative import (GecForm, RayCorrespondence, build_gec_form,
-                              build_gec_vector)
+                              gec_rows)
 
 
 def block_matrix(rotation, translation):
@@ -44,7 +44,7 @@ class TestBuildGecVector:
             PlueckerLine(np.array([0.0, 1.0, 0]), np.zeros(3)))
         expected = np.zeros(18)
         expected[3] = 1.0
-        np.testing.assert_array_equal(build_gec_vector(corr), expected)
+        np.testing.assert_array_equal(gec_rows([corr])[0], expected)
 
     def test_matches_direct_bilinear_form(self, rng):
         for _ in range(50):
@@ -53,7 +53,7 @@ class TestBuildGecVector:
             form = GecForm(np.zeros((18, 18)))
             v = form.stacked_variable(rotation, translation)
             direct = direct_residual(corr, rotation, translation)
-            a = build_gec_vector(corr)
+            a = gec_rows([corr])[0]
             assert abs(a @ v - direct) < 1e-12 * max(1.0, abs(direct))
 
     def test_zero_residual_at_truth(self):
@@ -61,7 +61,7 @@ class TestBuildGecVector:
         form = GecForm(np.zeros((18, 18)))
         v = form.stacked_variable(truth.rotation, truth.translation)
         for corr in corrs:
-            assert abs(build_gec_vector(corr) @ v) < 1e-10
+            assert abs(gec_rows([corr])[0] @ v) < 1e-10
 
 
 class TestBuildGecForm:
@@ -82,7 +82,7 @@ class TestBuildGecForm:
             form = build_gec_form(corrs)
             v = form.stacked_variable(truth.rotation, truth.translation)
             scale = float(np.linalg.norm(form.m)) * float(v @ v)
-            summed = sum(float(build_gec_vector(c) @ v) ** 2 for c in corrs)
+            summed = sum(float(gec_rows([c])[0] @ v) ** 2 for c in corrs)
             assert summed < 1e-18 * scale
             assert form.value(truth.rotation, truth.translation) < 1e-12 * scale
 
@@ -90,7 +90,7 @@ class TestBuildGecForm:
         corrs = [random_correspondence(rng) for _ in range(12)]
         form = build_gec_form(corrs)
         v = rng.normal(size=18)
-        expected = sum(float(build_gec_vector(c) @ v) ** 2 for c in corrs)
+        expected = sum(float(gec_rows([c])[0] @ v) ** 2 for c in corrs)
         assert float(v @ form.m @ v) == pytest.approx(expected, rel=1e-12)
 
 
