@@ -15,7 +15,7 @@ See the demos/ directory for worked examples and the CLI (``poseamm``)
 for benchmark sweeps.
 """
 
-from .absolute import (PointRayCorrespondence, build_gpnp_form,
+from .absolute import (PointRayCorrespondence, PointRaySet, build_gpnp_form,
                        build_upnp_form, gpnp_residual)
 from .amm import (AmmConfig, AmmResult, rotation_subsolve, solve_amm,
                   translation_subsolve)
@@ -36,7 +36,7 @@ from .geometry import (ObservedRay, PlueckerLine, Pose, project_to_so3,
 from .initializers import (init_absolute_linear, init_identity,
                            init_relative_17pt)
 from .objectives import PoseObjective, QuadraticPoseForm
-from .relative import GecForm, RayCorrespondence, build_gec_form
+from .relative import GecForm, RayCorrespondence, RayPairSet, build_gec_form
 
 __version__ = "0.1.0"
 
@@ -44,16 +44,16 @@ __all__ = [
     "AmbiguousProjection", "AmmConfig", "AmmResult", "ConstraintViolation",
     "DegenerateNullspace", "EmptyData", "GecForm", "InsufficientData",
     "NonFiniteObjective", "ObservedRay", "ParseError", "PlueckerLine",
-    "PointRayCorrespondence", "Pose", "PoseObjective", "PoseSolverError",
-    "QuadraticPoseForm", "RankDeficientSystem", "RayCorrespondence",
-    "SceneConfig", "SingularSystem", "SingularTranslationSystem",
-    "TrialRecord", "apply_pixel_noise", "build_gec_form", "build_gpnp_form",
-    "build_objective", "build_upnp_form", "generate_absolute_scene",
-    "generate_relative_scene", "gpnp_residual", "init_absolute_linear",
-    "init_identity", "init_relative_17pt", "initial_pose", "mean_records",
-    "parse_correspondence_file", "pose_errors", "project_to_so3",
-    "random_pose", "read_sweep_csv", "records_to_csv", "rodrigues_step",
-    "rotation_subsolve", "run_sweep", "skew", "solve_amm",
-    "translation_subsolve", "unskew", "unvec", "vec",
+    "PointRayCorrespondence", "PointRaySet", "Pose", "PoseObjective",
+    "PoseSolverError", "QuadraticPoseForm", "RankDeficientSystem",
+    "RayCorrespondence", "RayPairSet", "SceneConfig", "SingularSystem",
+    "SingularTranslationSystem", "TrialRecord", "apply_pixel_noise",
+    "build_gec_form", "build_gpnp_form", "build_objective", "build_upnp_form",
+    "generate_absolute_scene", "generate_relative_scene", "gpnp_residual",
+    "init_absolute_linear", "init_identity", "init_relative_17pt",
+    "initial_pose", "mean_records", "parse_correspondence_file",
+    "pose_errors", "project_to_so3", "random_pose", "read_sweep_csv",
+    "records_to_csv", "rodrigues_step", "rotation_subsolve", "run_sweep",
+    "skew", "solve_amm", "translation_subsolve", "unskew", "unvec", "vec",
     "write_correspondence_file", "write_sweep_csv",
 ]

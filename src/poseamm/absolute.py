@@ -10,23 +10,28 @@ phi = [vec(R); t; 1], and the rows are folded once into the form:
     least squares from the stacked constraints alpha_i v_i + c_i = R p_i + t
     and substituted back, leaving eta_i = alpha_i v_i + c_i - R p_i - t.
 
-Both row builders are vectorized and O(N) in time and memory.
+Both row builders are vectorized and O(N) in time and memory, and read
+their input as one ``PointRaySet`` of (N, 3) arrays.
 
 World points are mapped into the camera frame by x_cam = R x_world + t.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .exceptions import EmptyData, RankDeficientSystem
-from .geometry import ObservedRay
+from .geometry import (RAY_SHAPE_MESSAGE, ObservedRay, check_rows, frozen_rows,
+                       ray_faults)
 from .objectives import QuadraticPoseForm
 
 _RANK_TOL = 1e-10  # on the smallest eigenvalue of the stacked normal matrix
+
+_POINT_MESSAGE = "point must be a finite 3-vector"
 
 
 @dataclass(frozen=True)
@@ -39,8 +44,62 @@ class PointRayCorrespondence:
     def __post_init__(self):
         p = np.asarray(self.point, dtype=float)
         if p.shape != (3,) or not np.isfinite(p).all():
-            raise ValueError("point must be a finite 3-vector")
+            raise ValueError(_POINT_MESSAGE)
         object.__setattr__(self, "point", p)
+
+
+@dataclass(frozen=True, eq=False)
+class PointRaySet:
+    """N point-ray correspondences held as three read-only (N, 3) arrays.
+
+    Row i is the correspondence of ``points[i]`` with the ray of unit
+    bearing ``bearings[i]`` through ``offsets[i]``. Construction applies
+    the checks of ``PointRayCorrespondence`` and ``ObservedRay`` to every
+    row in one vectorized pass (shapes first, for the whole set) and raises
+    the record's ValueError for the first failing row. ``len``, iteration
+    and integer indexing give ``PointRayCorrespondence`` records built on
+    demand; a slice gives a set.
+    """
+
+    points: np.ndarray
+    bearings: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        bearings = frozen_rows(self.bearings, RAY_SHAPE_MESSAGE)
+        offsets = frozen_rows(self.offsets, RAY_SHAPE_MESSAGE)
+        points = frozen_rows(self.points, _POINT_MESSAGE)
+        if not len(points) == len(bearings) == len(offsets):
+            raise ValueError("points, bearings and offsets differ in length")
+        check_rows(ray_faults(bearings, offsets)
+                   + [(~np.isfinite(points).all(axis=1), _POINT_MESSAGE)])
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "bearings", bearings)
+        object.__setattr__(self, "offsets", offsets)
+
+    @staticmethod
+    def of(corrs: Sequence[PointRayCorrespondence]) -> "PointRaySet":
+        """``corrs`` itself if it is a set, else its records stacked once."""
+        if isinstance(corrs, PointRaySet):
+            return corrs
+        n = len(corrs)
+        return PointRaySet(np.array([c.point for c in corrs]).reshape(n, 3),
+                           np.array([c.ray.bearing for c in corrs]).reshape(n, 3),
+                           np.array([c.ray.offset for c in corrs]).reshape(n, 3))
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PointRaySet(self.points[index], self.bearings[index],
+                               self.offsets[index])
+        i = operator.index(index)
+        return PointRayCorrespondence(
+            self.points[i], ObservedRay(self.bearings[i], self.offsets[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def gpnp_residual(corr: PointRayCorrespondence, rotation, translation) -> np.ndarray:
@@ -57,12 +116,10 @@ def gpnp_residual(corr: PointRayCorrespondence, rotation, translation) -> np.nda
 
 def _stacked(corrs: Sequence[PointRayCorrespondence]):
     """-> (points, bearings, offsets), each (N, 3)."""
-    if len(corrs) == 0:
+    rows = PointRaySet.of(corrs)
+    if len(rows) == 0:
         raise EmptyData("no point-ray correspondences")
-    points = np.array([corr.point for corr in corrs])
-    bearings = np.array([corr.ray.bearing for corr in corrs])
-    offsets = np.array([corr.ray.offset for corr in corrs])
-    return points, bearings, offsets
+    return rows.points, rows.bearings, rows.offsets
 
 
 def _projected_rows(points, proj, offsets) -> np.ndarray:

@@ -22,12 +22,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .absolute import PointRayCorrespondence, build_gpnp_form, build_upnp_form
+from .absolute import PointRaySet, build_gpnp_form, build_upnp_form
 from .amm import AmmConfig, AmmResult, solve_amm
 from .exceptions import PoseSolverError, RankDeficientSystem
-from .geometry import ObservedRay, PlueckerLine, Pose, rodrigues_step
+from .geometry import Pose, rodrigues_step
 from .initializers import init_absolute_linear, init_identity, init_relative_17pt
-from .relative import RayCorrespondence, build_gec_form
+from .relative import RayPairSet, build_gec_form
 
 RIG_CENTRAL = "central"
 RIG_NON_CENTRAL = "non_central"
@@ -153,7 +153,7 @@ def _camera_offset(rng: np.random.Generator, config: SceneConfig) -> np.ndarray:
 
 def generate_absolute_scene(config: SceneConfig,
                             rng: Optional[np.random.Generator] = None):
-    """-> (ground truth pose, point-ray correspondences).
+    """-> (ground truth pose, PointRaySet of the correspondences).
 
     World points are placed on exact camera rays at uniform depths, then
     observed bearings are perturbed by the pixel-noise model, so at zero
@@ -161,22 +161,23 @@ def generate_absolute_scene(config: SceneConfig,
     """
     rng = np.random.default_rng(config.seed) if rng is None else rng
     truth = random_pose(rng, config)
-    corrs = []
-    for _ in range(config.num_correspondences):
+    n = config.num_correspondences
+    points, bearings, offsets = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
+    for i in range(n):
         offset = _camera_offset(rng, config)
         bearing = _random_unit(rng)
         depth = rng.uniform(*config.point_depth_range)
         cam_point = offset + depth * bearing
-        world_point = truth.rotation.T @ (cam_point - truth.translation)
-        noisy = apply_pixel_noise(bearing, config.noise_sigma_px,
-                                  config.focal_px, rng)
-        corrs.append(PointRayCorrespondence(world_point, ObservedRay(noisy, offset)))
-    return truth, corrs
+        points[i] = truth.rotation.T @ (cam_point - truth.translation)
+        bearings[i] = apply_pixel_noise(bearing, config.noise_sigma_px,
+                                        config.focal_px, rng)
+        offsets[i] = offset
+    return truth, PointRaySet(points, bearings, offsets)
 
 
 def generate_relative_scene(config: SceneConfig,
                             rng: Optional[np.random.Generator] = None):
-    """-> (ground truth pose, ray correspondences).
+    """-> (ground truth pose, RayPairSet of the ray correspondences).
 
     A 3D point is placed on a ray of camera 1, re-observed from camera 2
     (frame-2 coordinates x2 = R'(x1 - t)), and both rays are returned as
@@ -188,8 +189,9 @@ def generate_relative_scene(config: SceneConfig,
     rng = np.random.default_rng(config.seed) if rng is None else rng
     truth = random_pose(rng, config)
     min_distance = _MIN_CAMERA_DISTANCE_RATIO * config.point_depth_range[0]
-    corrs = []
-    for _ in range(config.num_correspondences):
+    n = config.num_correspondences
+    d1, m1, d2, m2 = (np.empty((n, 3)) for _ in range(4))
+    for i in range(n):
         while True:
             offset1 = _camera_offset(rng, config)
             dir1 = _random_unit(rng)
@@ -202,10 +204,9 @@ def generate_relative_scene(config: SceneConfig,
         dir2 = _unit(point2 - offset2)
         dir1 = apply_pixel_noise(dir1, config.noise_sigma_px, config.focal_px, rng)
         dir2 = apply_pixel_noise(dir2, config.noise_sigma_px, config.focal_px, rng)
-        corrs.append(RayCorrespondence(
-            PlueckerLine(dir1, np.cross(offset1, dir1)),
-            PlueckerLine(dir2, np.cross(offset2, dir2))))
-    return truth, corrs
+        d1[i], m1[i] = dir1, np.cross(offset1, dir1)
+        d2[i], m2[i] = dir2, np.cross(offset2, dir2)
+    return truth, RayPairSet(d1, m1, d2, m2)
 
 
 def pose_errors(truth: Pose, estimate: Pose):

@@ -150,7 +150,10 @@ def _parse_t0(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"--t0 must be three comma-separated numbers, got {text!r}")
-    return np.array([float(p) for p in parts])
+    t0 = np.array([float(p) for p in parts])
+    if not np.isfinite(t0).all():
+        raise ValueError(f"--t0 must be finite, got {text!r}")
+    return t0
 
 
 def _cmd_solve(args) -> int:

@@ -6,10 +6,20 @@ comments; the first meaningful line declares the kind:
     absolute            point xyz, bearing xyz, offset xyz   (9 fields/line)
     relative            dir1, moment1, dir2, moment2         (12 fields/line)
 
-Bearings and directions are renormalized on load (moments rescale with
-their direction so the line is unchanged). Relative records whose
-direction-moment product exceeds 1e-6 are rejected; smaller violations
-are projected out so downstream invariants hold exactly.
+A file is read line by line into one float buffer, checked row by row in
+one vectorized pass and returned as a ``PointRaySet`` or a
+``RayPairSet``; no per-record object is built. Bearings and directions are
+renormalized on load (moments rescale with their direction so the line
+is unchanged). Relative records whose direction-moment product exceeds
+1e-6 are rejected; smaller violations are projected out so downstream
+invariants hold exactly. Non-finite fields, and fields that overflow when
+renormalized, are rejected.
+
+Errors name the first faulty line (1-based, counting comments and blank
+lines). Within a line the faults are looked for in this order: a
+non-numeric field, a wrong field count, a non-finite field, then per
+bearing or direction a zero vector, an overflow on renormalization and,
+for relative lines, the direction-moment product.
 
 The sweep CSV stores one trial record per row with floats printed to 17
 significant digits, so write -> read -> write is byte-identical.
@@ -18,103 +28,162 @@ significant digits, so write -> read -> write is byte-identical.
 from __future__ import annotations
 
 import io
+from array import array
 from typing import Sequence
 
 import numpy as np
 
-from .absolute import PointRayCorrespondence
+from .absolute import PointRaySet
 from .bench import TrialRecord
 from .exceptions import ConstraintViolation, ParseError
-from .geometry import ObservedRay, PlueckerLine
-from .relative import RayCorrespondence
+from .geometry import first_fault, row_dots, row_norms
+from .relative import RayPairSet
 
 KIND_ABSOLUTE = "absolute"
 KIND_RELATIVE = "relative"
+_FIELDS = {KIND_ABSOLUTE: 9, KIND_RELATIVE: 12}
 
 CSV_HEADER = "noise,trial,solver,rot_err,trans_err,time_ns,iters,final_obj,converged"
 
 _PLUECKER_TOL = 1e-6
+_ZERO_NORM = 1e-12
 
 
 def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _load_line(direction, moment, lineno: int) -> PlueckerLine:
-    d = np.asarray(direction, dtype=float)
-    m = np.asarray(moment, dtype=float)
-    n = float(np.linalg.norm(d))
-    if n < 1e-12:
-        raise ParseError(f"line {lineno}: zero direction vector")
-    d = d / n
-    m = m / n
-    residual = float(d @ m)
-    if abs(residual) > _PLUECKER_TOL:
-        raise ConstraintViolation(
-            f"line {lineno}: direction.moment = {residual:g} exceeds {_PLUECKER_TOL:g}")
-    return PlueckerLine(d, m - residual * d)
+def _numeric(fields) -> bool:
+    try:
+        for field in fields:
+            float(field)
+    except ValueError:
+        return False
+    return True
 
 
-def _parse_records(stream, path: str):
+def _read_rows(stream, path: str):
+    """-> (kind, values, linenos, stop) for the data lines of a file.
+
+    ``values`` holds the fields of the lines ``linenos`` as an (N, width)
+    float array. Reading ends at the first line that has the wrong field
+    count or a non-numeric field; ``stop`` is the ParseError of that line,
+    else None.
+    """
     kind = None
-    records = []
+    values = array("d")
+    linenos = []
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        content = raw.split("#", 1)[0]
+        fields = content.split()
+        if not fields:
             continue
         if kind is None:
-            if line not in (KIND_ABSOLUTE, KIND_RELATIVE):
+            kind = content.strip()
+            if kind not in _FIELDS:
                 raise ParseError(
                     f"line {lineno}: expected header '{KIND_ABSOLUTE}' or "
-                    f"'{KIND_RELATIVE}', got {line!r}")
-            kind = line
+                    f"'{KIND_RELATIVE}', got {kind!r}")
+            width = _FIELDS[kind]
             continue
-        tokens = line.split()
-        try:
-            values = [float(tok) for tok in tokens]
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric field") from None
-        if kind == KIND_ABSOLUTE:
-            if len(values) != 9:
-                raise ParseError(
-                    f"line {lineno}: expected 9 fields, got {len(values)}")
-            bearing = np.array(values[3:6])
-            if np.linalg.norm(bearing) < 1e-12:
-                raise ParseError(f"line {lineno}: zero bearing vector")
-            records.append(PointRayCorrespondence(
-                np.array(values[0:3]),
-                ObservedRay.from_direction(bearing, np.array(values[6:9]))))
+        if len(fields) == width:
+            try:
+                values.extend(map(float, fields))
+            except ValueError:
+                del values[len(linenos) * width:]
+            else:
+                linenos.append(lineno)
+                continue
+        if _numeric(fields):
+            stop = ParseError(
+                f"line {lineno}: expected {width} fields, got {len(fields)}")
         else:
-            if len(values) != 12:
-                raise ParseError(
-                    f"line {lineno}: expected 12 fields, got {len(values)}")
-            records.append(RayCorrespondence(
-                _load_line(values[0:3], values[3:6], lineno),
-                _load_line(values[6:9], values[9:12], lineno)))
-    if kind is None:
-        raise ParseError(f"{path}: missing kind header")
-    return kind, records
+            stop = ParseError(f"line {lineno}: non-numeric field")
+        break
+    else:
+        if kind is None:
+            raise ParseError(f"{path}: missing kind header")
+        stop = None
+    rows = np.frombuffer(values, dtype=float).reshape(-1, width)
+    return kind, rows, linenos, stop
+
+
+def _checked_set(kind: str, values: np.ndarray, linenos):
+    """The set of the parsed rows; raises the first faulty line's error.
+
+    Faults are ordered per line as in the module docstring; each entry of
+    ``faults`` pairs the mask of the rows showing a fault with a function
+    from a row index to its exception.
+    """
+    def parse_error(text):
+        return lambda i: ParseError(f"line {linenos[i]}: {text}")
+
+    non_finite = parse_error("non-finite field")
+    faults = [(~np.isfinite(values).all(axis=1), non_finite)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if kind == KIND_ABSOLUTE:
+            norms = row_norms(values[:, 3:6])
+            faults += [(norms < _ZERO_NORM, parse_error("zero bearing vector")),
+                       (~np.isfinite(norms), non_finite)]
+            arrays = [values[:, 0:3], values[:, 3:6] / norms[:, None],
+                      values[:, 6:9]]
+        else:
+            arrays = []
+            for start in (0, 6):
+                norms = row_norms(values[:, start:start + 3])
+                d = values[:, start:start + 3] / norms[:, None]
+                m = values[:, start + 3:start + 6] / norms[:, None]
+                residual = row_dots(d, m)
+                faults += [
+                    (norms < _ZERO_NORM, parse_error("zero direction vector")),
+                    (~(np.isfinite(norms) & np.isfinite(m).all(axis=1)), non_finite),
+                    (np.abs(residual) > _PLUECKER_TOL,
+                     lambda i, r=residual: ConstraintViolation(
+                         f"line {linenos[i]}: direction.moment = {r[i]:g} "
+                         f"exceeds {_PLUECKER_TOL:g}"))]
+                arrays += [d, m - residual[:, None] * d]
+    found = first_fault([mask for mask, _ in faults])
+    if found is not None:
+        row, k = found
+        raise faults[k][1](row)
+    if kind == KIND_ABSOLUTE:
+        return PointRaySet(*arrays)
+    return RayPairSet(*arrays)
 
 
 def parse_correspondence_file(path):
-    """-> (kind, correspondences). Errors carry the offending line number."""
+    """-> (kind, PointRaySet or RayPairSet). Errors name the first faulty line.
+
+    Raises ParseError, or ConstraintViolation for a relative line whose
+    direction-moment product exceeds 1e-6.
+    """
     with open(path, "r", encoding="utf-8") as stream:
-        return _parse_records(stream, str(path))
+        kind, values, linenos, stop = _read_rows(stream, str(path))
+    corrs = _checked_set(kind, values, linenos)
+    if stop is not None:
+        raise stop
+    return kind, corrs
 
 
 def write_correspondence_file(path, kind: str, corrs) -> None:
-    """Inverse of parse_correspondence_file, lossless for float64 fields."""
-    if kind not in (KIND_ABSOLUTE, KIND_RELATIVE):
+    """Inverse of parse_correspondence_file, lossless for float64 fields.
+
+    ``corrs`` is a set or a sequence of records of the file's kind; every
+    field is printed with ``%.17g``.
+    """
+    if kind == KIND_ABSOLUTE:
+        rows = PointRaySet.of(corrs)
+        columns = (rows.points, rows.bearings, rows.offsets)
+    elif kind == KIND_RELATIVE:
+        rows = RayPairSet.of(corrs)
+        columns = (rows.d1, rows.m1, rows.d2, rows.m2)
+    else:
         raise ValueError(f"unknown kind {kind!r}")
+    values = np.hstack(columns)
+    line = " ".join(["%.17g"] * values.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as stream:
         stream.write(kind + "\n")
-        for corr in corrs:
-            if kind == KIND_ABSOLUTE:
-                fields = [*corr.point, *corr.ray.bearing, *corr.ray.offset]
-            else:
-                fields = [*corr.line1.direction, *corr.line1.moment,
-                          *corr.line2.direction, *corr.line2.moment]
-            stream.write(" ".join(_fmt(x) for x in fields) + "\n")
+        stream.write((line * len(values)) % tuple(values.ravel().tolist()))
 
 
 def record_to_csv_row(record: TrialRecord) -> str:

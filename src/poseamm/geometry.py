@@ -18,6 +18,9 @@ from .exceptions import AmbiguousProjection
 ROTATION_TOL = 1e-9
 UNIT_TOL = 1e-12
 
+RAY_SHAPE_MESSAGE = "bearing and offset must be 3-vectors"
+LINE_SHAPE_MESSAGE = "direction and moment must be 3-vectors"
+
 
 def skew(v) -> np.ndarray:
     """Cross-product matrix: skew(v) @ w == cross(v, w)."""
@@ -88,6 +91,68 @@ def _freeze(a) -> np.ndarray:
     return out
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the matching rows of two (N, 3) arrays.
+
+    Each product is the one ``np.dot`` computes for a single pair of
+    3-vectors, so vectorized norms and checks round exactly as the
+    per-record ones do. Overflow gives inf without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (N, 3) array, as np.linalg.norm."""
+    return np.sqrt(row_dots(a, a))
+
+
+def frozen_rows(a, shape_message: str) -> np.ndarray:
+    """A read-only float copy of ``a``; ValueError(shape_message) unless (N, 3)."""
+    out = _freeze(a)
+    if out.ndim != 2 or out.shape[1] != 3:
+        raise ValueError(shape_message)
+    return out
+
+
+def first_fault(masks):
+    """-> (row, k) for the first row set in any of the ordered masks, k the
+    first mask that row is set in; None when no row is set."""
+    bad = np.logical_or.reduce(masks)
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    return row, next(k for k, mask in enumerate(masks) if mask[row])
+
+
+def check_rows(faults) -> None:
+    """Raise ValueError(message) for the first row failing any of the
+    ordered (mask, message) checks, with that row's first failing check."""
+    found = first_fault([mask for mask, _ in faults])
+    if found is not None:
+        raise ValueError(faults[found[1]][1])
+
+
+def ray_faults(bearings: np.ndarray, offsets: np.ndarray):
+    """ObservedRay's value checks on (N, 3) rows, in its order, as
+    (failing rows, message) pairs."""
+    finite = np.isfinite(bearings).all(axis=1) & np.isfinite(offsets).all(axis=1)
+    return [(~finite, "ray entries must be finite"),
+            (np.abs(row_norms(bearings) - 1.0) > UNIT_TOL,
+             "bearing must be unit length")]
+
+
+def line_faults(directions: np.ndarray, moments: np.ndarray):
+    """PlueckerLine's value checks on (N, 3) rows, in its order, as
+    (failing rows, message) pairs."""
+    finite = np.isfinite(directions).all(axis=1) & np.isfinite(moments).all(axis=1)
+    return [(~finite, "line entries must be finite"),
+            (np.abs(row_norms(directions) - 1.0) > UNIT_TOL,
+             "direction must be unit length"),
+            (np.abs(row_dots(directions, moments)) > 1e-9,
+             "moment must be orthogonal to the direction")]
+
+
 def check_rotation(m, tol: float = ROTATION_TOL) -> None:
     """Raise ValueError unless ``m`` is a proper rotation within ``tol``."""
     m = np.asarray(m, dtype=float)
@@ -136,13 +201,8 @@ class PlueckerLine:
         d = np.asarray(self.direction, dtype=float)
         m = np.asarray(self.moment, dtype=float)
         if d.shape != (3,) or m.shape != (3,):
-            raise ValueError("direction and moment must be 3-vectors")
-        if not (np.isfinite(d).all() and np.isfinite(m).all()):
-            raise ValueError("line entries must be finite")
-        if abs(np.linalg.norm(d) - 1.0) > UNIT_TOL:
-            raise ValueError("direction must be unit length")
-        if abs(d @ m) > 1e-9:
-            raise ValueError("moment must be orthogonal to the direction")
+            raise ValueError(LINE_SHAPE_MESSAGE)
+        check_rows(line_faults(d[None], m[None]))
         object.__setattr__(self, "direction", _freeze(d))
         object.__setattr__(self, "moment", _freeze(m))
 
@@ -168,11 +228,8 @@ class ObservedRay:
         b = np.asarray(self.bearing, dtype=float)
         o = np.asarray(self.offset, dtype=float)
         if b.shape != (3,) or o.shape != (3,):
-            raise ValueError("bearing and offset must be 3-vectors")
-        if not (np.isfinite(b).all() and np.isfinite(o).all()):
-            raise ValueError("ray entries must be finite")
-        if abs(np.linalg.norm(b) - 1.0) > UNIT_TOL:
-            raise ValueError("bearing must be unit length")
+            raise ValueError(RAY_SHAPE_MESSAGE)
+        check_rows(ray_faults(b[None], o[None]))
         object.__setattr__(self, "bearing", _freeze(b))
         object.__setattr__(self, "offset", _freeze(o))
 

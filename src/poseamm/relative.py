@@ -5,7 +5,8 @@ l1' [[E, R], [R, 0]] l2 = 0 with E = skew(t) R, where l1, l2 are the
 Plücker 6-vectors and (R, t) maps frame-2 coordinates into frame 1.
 Expanding the bilinear form per correspondence gives a coefficient
 18-vector a_i against the stacked variable v = [vec(E); vec(R)]; the rows
-of all correspondences are built in one vectorized pass, and the fold
+of all correspondences are built in one vectorized pass over the (N, 3)
+arrays of a ``RayPairSet``, and the fold
 M = A'A = sum_i a_i a_i' turns the summed squared constraint into the
 single quadric v'Mv, evaluable in time independent of the number of
 correspondences.
@@ -18,13 +19,15 @@ therefore quadrics too, in 9 and 3 variables.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .exceptions import EmptyData
-from .geometry import PlueckerLine, skew, unvec, vec
+from .geometry import (LINE_SHAPE_MESSAGE, PlueckerLine, check_rows,
+                       frozen_rows, line_faults, skew, unvec, vec)
 from .objectives import PoseObjective
 
 
@@ -36,6 +39,60 @@ class RayCorrespondence:
     line2: PlueckerLine
 
 
+@dataclass(frozen=True, eq=False)
+class RayPairSet:
+    """N ray correspondences held as four read-only (N, 3) arrays.
+
+    Row i pairs the Plücker line (d1[i]; m1[i]) of camera 1 with the line
+    (d2[i]; m2[i]) of camera 2. Construction applies ``PlueckerLine``'s
+    checks to every row of both lines in one vectorized pass (shapes
+    first, for the whole set) and raises the record's ValueError for the
+    first failing row. ``len``, iteration and integer indexing give
+    ``RayCorrespondence`` records built on demand; a slice gives a set.
+    """
+
+    d1: np.ndarray
+    m1: np.ndarray
+    d2: np.ndarray
+    m2: np.ndarray
+
+    def __post_init__(self):
+        d1, m1, d2, m2 = (frozen_rows(a, LINE_SHAPE_MESSAGE)
+                          for a in (self.d1, self.m1, self.d2, self.m2))
+        if not len(d1) == len(m1) == len(d2) == len(m2):
+            raise ValueError("d1, m1, d2 and m2 differ in length")
+        check_rows(line_faults(d1, m1) + line_faults(d2, m2))
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "d2", d2)
+        object.__setattr__(self, "m2", m2)
+
+    @staticmethod
+    def of(corrs: Sequence[RayCorrespondence]) -> "RayPairSet":
+        """``corrs`` itself if it is a set, else its records stacked once."""
+        if isinstance(corrs, RayPairSet):
+            return corrs
+        n = len(corrs)
+        return RayPairSet(np.array([c.line1.direction for c in corrs]).reshape(n, 3),
+                          np.array([c.line1.moment for c in corrs]).reshape(n, 3),
+                          np.array([c.line2.direction for c in corrs]).reshape(n, 3),
+                          np.array([c.line2.moment for c in corrs]).reshape(n, 3))
+
+    def __len__(self) -> int:
+        return len(self.d1)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RayPairSet(self.d1[index], self.m1[index], self.d2[index],
+                              self.m2[index])
+        i = operator.index(index)
+        return RayCorrespondence(PlueckerLine(self.d1[i], self.m1[i]),
+                                 PlueckerLine(self.d2[i], self.m2[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 def gec_rows(corrs: Sequence[RayCorrespondence]) -> np.ndarray:
     """Coefficient rows (N, 18) with rows @ v = l1' [[E,R],[R,0]] l2.
 
@@ -43,12 +100,10 @@ def gec_rows(corrs: Sequence[RayCorrespondence]) -> np.ndarray:
     row i is [d2 kron d1, d2 kron m1 + m2 kron d1], built for all
     correspondences in one broadcast.
     """
-    if len(corrs) == 0:
+    pairs = RayPairSet.of(corrs)
+    if len(pairs) == 0:
         raise EmptyData("no ray correspondences")
-    d1 = np.array([c.line1.direction for c in corrs])
-    m1 = np.array([c.line1.moment for c in corrs])
-    d2 = np.array([c.line2.direction for c in corrs])
-    m2 = np.array([c.line2.moment for c in corrs])
+    d1, m1, d2, m2 = pairs.d1, pairs.m1, pairs.d2, pairs.m2
     n = len(d1)
     rows = np.empty((n, 18))
     rows[:, :9] = (d2[:, :, None] * d1[:, None, :]).reshape(n, 9)

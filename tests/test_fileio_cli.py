@@ -1,12 +1,17 @@
 import io
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from poseamm import cli, fileio
+from poseamm.absolute import PointRayCorrespondence
 from poseamm.bench import (SceneConfig, generate_absolute_scene,
                            generate_relative_scene, run_sweep)
 from poseamm.exceptions import ConstraintViolation, ParseError
+from poseamm.geometry import ObservedRay, PlueckerLine
+from poseamm.relative import RayCorrespondence
 
 
 ABSOLUTE_FILE = """\
@@ -240,3 +245,265 @@ class TestCliSolve:
         code = cli.main(["solve", "--input", str(path), "--solver", "amm-gec"] + t0)
         assert code == 1
         assert "RankDeficientSystem" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- references
+
+@np.errstate(over="ignore")
+def reference_load_line(direction, moment, lineno):
+    """The per-line Plücker loader as it was, plus the non-finite check
+    after renormalization."""
+    d = np.asarray(direction, dtype=float)
+    m = np.asarray(moment, dtype=float)
+    n = float(np.linalg.norm(d))
+    if n < 1e-12:
+        raise ParseError(f"line {lineno}: zero direction vector")
+    d = d / n
+    m = m / n
+    if not (math.isfinite(n) and np.isfinite(m).all()):
+        raise ParseError(f"line {lineno}: non-finite field")
+    residual = float(d @ m)
+    if abs(residual) > 1e-6:
+        raise ConstraintViolation(
+            f"line {lineno}: direction.moment = {residual:g} exceeds {1e-6:g}")
+    return PlueckerLine(d, m - residual * d)
+
+
+@np.errstate(over="ignore")
+def reference_parse(path):
+    """The line-loop parser as it was, building one record per line, plus
+    the non-finite checks: right after a line's numbers are counted, and
+    after each renormalization."""
+    kind = None
+    records = []
+    with open(path, "r", encoding="utf-8") as stream:
+        for lineno, raw in enumerate(stream, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if kind is None:
+                if line not in ("absolute", "relative"):
+                    raise ParseError(
+                        f"line {lineno}: expected header 'absolute' or "
+                        f"'relative', got {line!r}")
+                kind = line
+                continue
+            tokens = line.split()
+            try:
+                values = [float(tok) for tok in tokens]
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-numeric field") from None
+            width = 9 if kind == "absolute" else 12
+            if len(values) != width:
+                raise ParseError(
+                    f"line {lineno}: expected {width} fields, got {len(values)}")
+            if not all(math.isfinite(v) for v in values):
+                raise ParseError(f"line {lineno}: non-finite field")
+            if kind == "absolute":
+                bearing = np.array(values[3:6])
+                n = np.linalg.norm(bearing)
+                if n < 1e-12:
+                    raise ParseError(f"line {lineno}: zero bearing vector")
+                if not math.isfinite(n):
+                    raise ParseError(f"line {lineno}: non-finite field")
+                records.append(PointRayCorrespondence(
+                    np.array(values[0:3]),
+                    ObservedRay.from_direction(bearing, np.array(values[6:9]))))
+            else:
+                records.append(RayCorrespondence(
+                    reference_load_line(values[0:3], values[3:6], lineno),
+                    reference_load_line(values[6:9], values[9:12], lineno)))
+    if kind is None:
+        raise ParseError(f"{path}: missing kind header")
+    return kind, records
+
+
+def reference_write(path, kind, corrs):
+    """The per-record writer as it was."""
+    with open(path, "w", encoding="utf-8") as stream:
+        stream.write(kind + "\n")
+        for corr in corrs:
+            if kind == "absolute":
+                fields = [*corr.point, *corr.ray.bearing, *corr.ray.offset]
+            else:
+                fields = [*corr.line1.direction, *corr.line1.moment,
+                          *corr.line2.direction, *corr.line2.moment]
+            stream.write(" ".join("%.17g" % x for x in fields) + "\n")
+
+
+def _record_rows(kind, corrs):
+    if kind == "absolute":
+        return np.array([[*c.point, *c.ray.bearing, *c.ray.offset] for c in corrs])
+    return np.array([[*c.line1.direction, *c.line1.moment,
+                      *c.line2.direction, *c.line2.moment] for c in corrs])
+
+
+def _scene(kind, n, seed=1234567):
+    config = SceneConfig(num_correspondences=n, noise_sigma_px=2.0, seed=seed)
+    if kind == "absolute":
+        return generate_absolute_scene(config)[1]
+    return generate_relative_scene(config)[1]
+
+
+class TestParserMatchesReference:
+    @pytest.mark.parametrize("kind", ["absolute", "relative"])
+    def test_generated_file_rows(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.txt"
+        fileio.write_correspondence_file(path, kind, _scene(kind, 2000))
+        got_kind, got = fileio.parse_correspondence_file(path)
+        ref_kind, ref = reference_parse(path)
+        assert got_kind == ref_kind == kind
+        got_rows, ref_rows = _record_rows(kind, got), _record_rows(kind, ref)
+        assert got_rows.shape == ref_rows.shape == (2000, 9 if kind == "absolute" else 12)
+        eps = np.finfo(float).eps
+        slack = 4.0 * eps * np.linalg.norm(ref_rows, axis=1)
+        assert (np.abs(got_rows - ref_rows).max(axis=1) <= slack).all()
+
+    @pytest.mark.parametrize("kind", ["absolute", "relative"])
+    def test_parse_memory_peak(self, tmp_path, kind):
+        # Fields go straight into one float buffer: no record per line and
+        # no list of all tokens. The record loop peaked at 1.2-1.7 MB here.
+        path = tmp_path / f"{kind}.txt"
+        fileio.write_correspondence_file(path, kind, _scene(kind, 2000))
+        fileio.parse_correspondence_file(path)
+        tracemalloc.start()
+        try:
+            fileio.parse_correspondence_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("kind", ["absolute", "relative"])
+    def test_unnormalized_file_rows(self, tmp_path, kind):
+        # scaled bearings and directions, moments rescaled with them, and a
+        # small Plücker violation to project out
+        rng = np.random.default_rng(4)
+        rows = _record_rows(kind, _scene(kind, 50))
+        for start in ((3,) if kind == "absolute" else (0, 6)):
+            scale = rng.uniform(0.01, 100.0, size=(50, 1))
+            rows[:, start:start + 3] *= scale
+            if kind == "relative":
+                rows[:, start + 3:start + 6] = (
+                    rows[:, start + 3:start + 6] * scale + 1e-8 * rows[:, start:start + 3])
+        path = tmp_path / "scaled.txt"
+        path.write_text(kind + "\n" + "".join(
+            " ".join("%.17g" % x for x in row) + "  # a comment\n\n" for row in rows))
+        got = _record_rows(kind, fileio.parse_correspondence_file(path)[1])
+        ref = _record_rows(kind, reference_parse(path)[1])
+        slack = 4.0 * np.finfo(float).eps * np.linalg.norm(ref, axis=1)
+        assert (np.abs(got - ref).max(axis=1) <= slack).all()
+
+
+# One faulty line per fault kind; each must be the first fault of its line.
+ABSOLUTE_FAULTS = {
+    "field count": "1 2 3 0 0 1 0 0",
+    "non-numeric": "1 2 3 0 0 one 0 0 0",
+    "non-finite": "nan 2 3 0 0 1 0 0 0",
+    "zero bearing": "1 2 3 0 0 0 0 0 0",
+    "overflow": "1 2 3 1e200 1e200 0 0 0 0",
+}
+RELATIVE_FAULTS = {
+    "field count": "1 0 0 0 0 0 0 1 0 0 0",
+    "non-numeric": "1 0 0 0 0 0 0 1 0 0 0 x",
+    "non-finite": "1 0 0 0 inf 0 0 1 0 0 0 0",
+    "zero direction": "0 0 0 0 0 0 0 1 0 0 0 0",
+    "overflow": "1e200 1e200 0 0 0 0 0 1 0 0 0 0",
+    "moment overflow": "1e-11 0 0 0 1e300 0 0 1 0 0 0 0",
+    "pluecker": "1 0 0 0.1 0 0 0 1 0 0 0 0",
+    "pluecker line 2": "1 0 0 0 0 0 0 1 0 0 1 0",
+}
+
+
+def _two_fault_cases():
+    for kind, faults in (("absolute", ABSOLUTE_FAULTS), ("relative", RELATIVE_FAULTS)):
+        for first in faults:
+            for second in faults:
+                if first != second:
+                    yield kind, first, second
+
+
+class TestFirstFaultReported:
+    @staticmethod
+    def _error(parse, path):
+        with pytest.raises((ParseError, ConstraintViolation)) as info:
+            parse(path)
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("kind,first,second", list(_two_fault_cases()))
+    def test_earlier_line_wins(self, tmp_path, kind, first, second):
+        faults = ABSOLUTE_FAULTS if kind == "absolute" else RELATIVE_FAULTS
+        good = [" ".join("%.17g" % x for x in row)
+                for row in _record_rows(kind, _scene(kind, 6, seed=3))]
+        lines = ["# two faulty lines", kind, good[0], "", good[1],
+                 faults[first] + "  # first", good[2], "# comment",
+                 faults[second], good[3]]
+        path = tmp_path / "faulty.txt"
+        path.write_text("\n".join(lines) + "\n")
+        got = self._error(fileio.parse_correspondence_file, path)
+        assert got == self._error(reference_parse, path)
+        assert got[1].startswith("line 6:")
+
+    @pytest.mark.parametrize("kind,fault", [
+        *(("absolute", f) for f in ABSOLUTE_FAULTS),
+        *(("relative", f) for f in RELATIVE_FAULTS)])
+    def test_single_fault_matches_reference(self, tmp_path, kind, fault):
+        faults = ABSOLUTE_FAULTS if kind == "absolute" else RELATIVE_FAULTS
+        path = tmp_path / "faulty.txt"
+        path.write_text(f"{kind}\n{faults[fault]}\n")
+        got = self._error(fileio.parse_correspondence_file, path)
+        assert got == self._error(reference_parse, path)
+        assert got[1].startswith("line 2:")
+        if fault.startswith("pluecker"):
+            assert got[0] is ConstraintViolation
+        else:
+            assert got[0] is ParseError
+
+    def test_header_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("relative\n# no records\n")
+        kind, corrs = fileio.parse_correspondence_file(path)
+        assert kind == "relative" and len(corrs) == 0
+
+
+class TestWriterMatchesReference:
+    @pytest.mark.parametrize("kind", ["absolute", "relative"])
+    @pytest.mark.parametrize("n", [1, 20, 2000])
+    def test_bytes(self, tmp_path, kind, n):
+        corrs = _scene(kind, n, seed=n)
+        records = list(corrs)
+        reference_write(tmp_path / "ref.txt", kind, records)
+        expected = (tmp_path / "ref.txt").read_bytes()
+        fileio.write_correspondence_file(tmp_path / "set.txt", kind, corrs)
+        fileio.write_correspondence_file(tmp_path / "list.txt", kind, records)
+        assert (tmp_path / "set.txt").read_bytes() == expected
+        assert (tmp_path / "list.txt").read_bytes() == expected
+
+    def test_unknown_kind(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown kind"):
+            fileio.write_correspondence_file(tmp_path / "x.txt", "sideways", [])
+        assert not (tmp_path / "x.txt").exists()
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("text", [
+        "absolute\n1 2 3  0 0 1  0 0 0\nnan 2 3  0 0 1  0 0 0\n",
+        "relative\n1 0 0  0 0 0  0 1 0  0 0 0\n1 0 0  0 inf 0  0 1 0  0 0 0\n",
+        "relative\n1 0 0  0 0 0  0 1 0  0 0 0\n1e200 1e200 0  0 0 0  0 1 0  0 0 0\n",
+    ], ids=["nan-point", "inf-moment", "overflowing-direction"])
+    def test_solve_exits_2_names_line(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        solver = "amm-gpnp" if text.startswith("absolute") else "amm-gec"
+        code = cli.main(["solve", "--input", str(path), "--solver", solver])
+        assert code == 2
+        assert "line 3: non-finite field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t0", ["nan,0,0", "0,inf,0", "0,0,-1e400"])
+    def test_non_finite_t0_exits_2(self, tmp_path, capsys, t0):
+        path = tmp_path / "scene.txt"
+        fileio.write_correspondence_file(path, "absolute", _scene("absolute", 20))
+        code = cli.main(["solve", "--input", str(path), "--solver", "amm-gpnp",
+                         "--t0", t0])
+        assert code == 2
+        assert "--t0 must be finite" in capsys.readouterr().err

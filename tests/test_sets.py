@@ -1,0 +1,313 @@
+"""Array-backed correspondence sets: row checks, sequence access, the
+single conversion point and the generators that fill them."""
+
+import math
+
+import numpy as np
+import pytest
+
+from poseamm import PointRaySet, RayPairSet
+from poseamm.absolute import PointRayCorrespondence
+from poseamm.bench import (RIG_CENTRAL, SceneConfig, _camera_offset,
+                           _MIN_CAMERA_DISTANCE_RATIO, _random_unit,
+                           apply_pixel_noise, generate_absolute_scene,
+                           generate_relative_scene, random_pose)
+from poseamm.geometry import ObservedRay, PlueckerLine
+from poseamm.relative import RayCorrespondence
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def record_generate_absolute(config, rng):
+    """The generator loop as it was when it built one record per row."""
+    truth = random_pose(rng, config)
+    corrs = []
+    for _ in range(config.num_correspondences):
+        offset = _camera_offset(rng, config)
+        bearing = _random_unit(rng)
+        depth = rng.uniform(*config.point_depth_range)
+        cam_point = offset + depth * bearing
+        world_point = truth.rotation.T @ (cam_point - truth.translation)
+        noisy = apply_pixel_noise(bearing, config.noise_sigma_px,
+                                  config.focal_px, rng)
+        corrs.append(PointRayCorrespondence(world_point, ObservedRay(noisy, offset)))
+    return truth, corrs
+
+
+def record_generate_relative(config, rng):
+    """The generator loop as it was when it built one record per row."""
+    truth = random_pose(rng, config)
+    min_distance = _MIN_CAMERA_DISTANCE_RATIO * config.point_depth_range[0]
+    corrs = []
+    for _ in range(config.num_correspondences):
+        while True:
+            offset1 = _camera_offset(rng, config)
+            dir1 = _random_unit(rng)
+            depth = rng.uniform(*config.point_depth_range)
+            point1 = offset1 + depth * dir1
+            point2 = truth.rotation.T @ (point1 - truth.translation)
+            offset2 = _camera_offset(rng, config)
+            if np.linalg.norm(point2 - offset2) >= min_distance:
+                break
+        dir2 = _unit(point2 - offset2)
+        dir1 = apply_pixel_noise(dir1, config.noise_sigma_px, config.focal_px, rng)
+        dir2 = apply_pixel_noise(dir2, config.noise_sigma_px, config.focal_px, rng)
+        corrs.append(RayCorrespondence(
+            PlueckerLine(dir1, np.cross(offset1, dir1)),
+            PlueckerLine(dir2, np.cross(offset2, dir2))))
+    return truth, corrs
+
+
+def absolute_arrays(n=6, seed=0):
+    rng = np.random.default_rng(seed)
+    bearings = rng.normal(size=(n, 3))
+    bearings /= np.linalg.norm(bearings, axis=1)[:, None]
+    return rng.normal(size=(n, 3)), bearings, rng.normal(size=(n, 3))
+
+
+def relative_arrays(n=6, seed=0):
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for _ in range(2):
+        d = rng.normal(size=(n, 3))
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        arrays += [d, np.cross(rng.normal(size=(n, 3)), d)]
+    return arrays
+
+
+def record_error(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("rig", ["central", "non_central"])
+    @pytest.mark.parametrize("noise", [0.0, 2.0])
+    @pytest.mark.parametrize("seed", [0, 5, 1234567])
+    def test_absolute_matches_record_loop(self, rig, noise, seed):
+        config = SceneConfig(num_correspondences=25, noise_sigma_px=noise,
+                             rig=rig, seed=seed)
+        truth, corrs = generate_absolute_scene(config)
+        ref_truth, ref = record_generate_absolute(
+            config, np.random.default_rng(seed))
+        assert isinstance(corrs, PointRaySet)
+        np.testing.assert_array_equal(truth.rotation, ref_truth.rotation)
+        np.testing.assert_array_equal(truth.translation, ref_truth.translation)
+        np.testing.assert_array_equal(corrs.points, [c.point for c in ref])
+        np.testing.assert_array_equal(corrs.bearings, [c.ray.bearing for c in ref])
+        np.testing.assert_array_equal(corrs.offsets, [c.ray.offset for c in ref])
+
+    @pytest.mark.parametrize("rig", ["central", "non_central"])
+    @pytest.mark.parametrize("noise", [0.0, 2.0])
+    @pytest.mark.parametrize("seed", [0, 5, 1234567])
+    def test_relative_matches_record_loop(self, rig, noise, seed):
+        config = SceneConfig(num_correspondences=25, noise_sigma_px=noise,
+                             rig=rig, seed=seed)
+        truth, corrs = generate_relative_scene(config)
+        ref_truth, ref = record_generate_relative(
+            config, np.random.default_rng(seed))
+        assert isinstance(corrs, RayPairSet)
+        np.testing.assert_array_equal(truth.rotation, ref_truth.rotation)
+        np.testing.assert_array_equal(truth.translation, ref_truth.translation)
+        np.testing.assert_array_equal(corrs.d1, [c.line1.direction for c in ref])
+        np.testing.assert_array_equal(corrs.m1, [c.line1.moment for c in ref])
+        np.testing.assert_array_equal(corrs.d2, [c.line2.direction for c in ref])
+        np.testing.assert_array_equal(corrs.m2, [c.line2.moment for c in ref])
+
+    def test_trial_generator_stream_matches(self):
+        # run_sweep hands each trial its own generator; the loop must draw
+        # from it exactly as before.
+        config = SceneConfig(seed=3, noise_sigma_px=4.0, rig=RIG_CENTRAL)
+        _, corrs = generate_relative_scene(config, np.random.default_rng([3, 2, 7]))
+        _, ref = record_generate_relative(config, np.random.default_rng([3, 2, 7]))
+        np.testing.assert_array_equal(corrs.d2, [c.line2.direction for c in ref])
+
+
+class TestRowChecks:
+    """A set rejects exactly what the record constructors reject, with the
+    record's message, and reports the first failing row."""
+
+    @pytest.mark.parametrize("field,row,value", [
+        ("bearings", 2, [0.0, 0.0, 1.0 + 2e-12]),
+        ("bearings", 4, [0.6, 0.8, 1e-5]),
+        ("bearings", 0, [np.nan, 0.0, 1.0]),
+        ("offsets", 3, [0.0, np.inf, 0.0]),
+        ("points", 5, [1.0, -np.inf, 0.0]),
+        ("points", 1, [np.nan, 0.0, 0.0]),
+    ])
+    def test_absolute_rejections(self, field, row, value):
+        arrays = dict(zip(("points", "bearings", "offsets"), absolute_arrays()))
+        arrays[field][row] = value
+        expected = record_error(lambda: PointRayCorrespondence(
+            arrays["points"][row],
+            ObservedRay(arrays["bearings"][row], arrays["offsets"][row])))
+        with pytest.raises(ValueError) as info:
+            PointRaySet(**arrays)
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize("field,row,value", [
+        ("d1", 2, [0.0, 0.0, 1.0 - 2e-12]),
+        ("d2", 1, [0.0, 0.0, 2.0]),
+        ("m1", 0, [np.nan, 0.0, 0.0]),
+        ("d2", 3, [np.inf, 0.0, 0.0]),
+        ("m2", 4, [1.0, 1.0, 1.0]),
+        ("m1", 5, [1e-3, 0.0, 0.0]),
+    ])
+    def test_relative_rejections(self, field, row, value):
+        arrays = dict(zip(("d1", "m1", "d2", "m2"), relative_arrays()))
+        arrays[field][row] = value
+        expected = record_error(lambda: RayCorrespondence(
+            PlueckerLine(arrays["d1"][row], arrays["m1"][row]),
+            PlueckerLine(arrays["d2"][row], arrays["m2"][row])))
+        with pytest.raises(ValueError) as info:
+            RayPairSet(**arrays)
+        assert str(info.value) == expected
+
+    def test_accepts_what_records_accept(self):
+        points, bearings, offsets = absolute_arrays()
+        bearings[0] = [0.0, 0.0, 1.0 + 0.5e-12]
+        PointRayCorrespondence(points[0], ObservedRay(bearings[0], offsets[0]))
+        PointRaySet(points, bearings, offsets)
+        d1, m1, d2, m2 = relative_arrays()
+        m1[0] += 0.5e-9 * d1[0]
+        PlueckerLine(d1[0], m1[0])
+        RayPairSet(d1, m1, d2, m2)
+
+    def test_first_failing_row_decides(self):
+        points, bearings, offsets = absolute_arrays()
+        points[4] = np.nan                    # a later row, an earlier check
+        bearings[2] = [0.0, 0.0, 2.0]
+        with pytest.raises(ValueError, match="bearing must be unit length"):
+            PointRaySet(points, bearings, offsets)
+        d1, m1, d2, m2 = relative_arrays()
+        d1[3] = [0.0, 0.0, 2.0]
+        m2[1] = np.inf
+        with pytest.raises(ValueError, match="line entries must be finite"):
+            RayPairSet(d1, m1, d2, m2)
+
+    @pytest.mark.parametrize("shape", [(6, 2), (6,), (6, 3, 1), (3,)])
+    def test_wrong_shapes(self, shape):
+        points, bearings, offsets = absolute_arrays()
+        with pytest.raises(ValueError, match="point must be a finite 3-vector"):
+            PointRaySet(np.zeros(shape), bearings, offsets)
+        with pytest.raises(ValueError, match="bearing and offset must be 3-vectors"):
+            PointRaySet(points, bearings, np.zeros(shape))
+        d1, m1, d2, m2 = relative_arrays()
+        with pytest.raises(ValueError, match="direction and moment must be 3-vectors"):
+            RayPairSet(d1, m1, d2, np.zeros(shape))
+
+    def test_mismatched_lengths(self):
+        points, bearings, offsets = absolute_arrays()
+        with pytest.raises(ValueError, match="differ in length"):
+            PointRaySet(points[:5], bearings, offsets)
+        d1, m1, d2, m2 = relative_arrays()
+        with pytest.raises(ValueError, match="differ in length"):
+            RayPairSet(d1, m1, d2[:5], m2[:5])
+
+    def test_arrays_are_read_only_copies(self):
+        points, bearings, offsets = absolute_arrays()
+        corrs = PointRaySet(points, bearings, offsets)
+        points[0] = 99.0
+        assert corrs.points[0, 0] != 99.0
+        for array in (corrs.points, corrs.bearings, corrs.offsets):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        pairs = RayPairSet(*relative_arrays())
+        for array in (pairs.d1, pairs.m1, pairs.d2, pairs.m2):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+
+class TestSequenceAccess:
+    @pytest.fixture(params=["absolute", "relative"])
+    def scene(self, request):
+        config = SceneConfig(num_correspondences=7, seed=11, noise_sigma_px=1.0)
+        if request.param == "absolute":
+            return generate_absolute_scene(config)[1]
+        return generate_relative_scene(config)[1]
+
+    @staticmethod
+    def _fields(corr):
+        if isinstance(corr, PointRayCorrespondence):
+            return [corr.point, corr.ray.bearing, corr.ray.offset]
+        return [corr.line1.direction, corr.line1.moment,
+                corr.line2.direction, corr.line2.moment]
+
+    @staticmethod
+    def _arrays(corrs):
+        if isinstance(corrs, PointRaySet):
+            return [corrs.points, corrs.bearings, corrs.offsets]
+        return [corrs.d1, corrs.m1, corrs.d2, corrs.m2]
+
+    def test_len_index_and_negative_index(self, scene):
+        assert len(scene) == 7
+        arrays = self._arrays(scene)
+        for index, row in ((0, 0), (3, 3), (-1, 6), (-7, 0)):
+            for got, array in zip(self._fields(scene[index]), arrays):
+                np.testing.assert_array_equal(got, array[row])
+        for index in (7, -8):
+            with pytest.raises(IndexError):
+                scene[index]
+        with pytest.raises(TypeError):
+            scene[1.0]
+
+    def test_slice_is_a_set(self, scene):
+        head = scene[:4]
+        assert type(head) is type(scene)
+        assert len(head) == 4
+        for got, array in zip(self._arrays(head), self._arrays(scene)):
+            np.testing.assert_array_equal(got, array[:4])
+        assert len(scene[::-2]) == 4
+        assert len(scene[10:]) == 0
+
+    def test_iteration_gives_records(self, scene):
+        records = list(scene)
+        assert len(records) == 7
+        for row, record in enumerate(records):
+            for got, array in zip(self._fields(record), self._arrays(scene)):
+                np.testing.assert_array_equal(got, array[row])
+
+    def test_repeated_record_list(self, scene):
+        repeated = list(scene) * 20
+        assert len(repeated) == 140
+        stacked = type(scene).of(repeated)
+        for got, array in zip(self._arrays(stacked), self._arrays(scene)):
+            np.testing.assert_array_equal(got, np.tile(array, (20, 1)))
+
+    def test_of_list_equals_of_set(self, scene):
+        cls = type(scene)
+        assert cls.of(scene) is scene
+        from_list = cls.of(list(scene))
+        for got, array in zip(self._arrays(from_list), self._arrays(cls.of(scene))):
+            np.testing.assert_array_equal(got, array)
+
+    def test_of_empty_list(self, scene):
+        empty = type(scene).of([])
+        assert len(empty) == 0
+        assert all(array.shape == (0, 3) for array in self._arrays(empty))
+        assert list(empty) == []
+
+
+def test_unit_tolerance_matches_records_near_boundary():
+    # Bearings a few ulps either side of the unit tolerance: the set and
+    # the record must agree on every one.
+    rng = np.random.default_rng(9)
+    base = rng.normal(size=(200, 3))
+    base /= np.linalg.norm(base, axis=1)[:, None]
+    scale = 1.0 + rng.uniform(0.9e-12, 1.1e-12, size=200)
+    bearings = base * scale[:, None]
+    for row in range(200):
+        try:
+            ObservedRay(bearings[row], np.zeros(3))
+            record_ok = True
+        except ValueError:
+            record_ok = False
+        try:
+            PointRaySet(np.zeros((1, 3)), bearings[row:row + 1], np.zeros((1, 3)))
+            set_ok = True
+        except ValueError:
+            set_ok = False
+        assert record_ok == set_ok, (row, math.fsum(bearings[row] ** 2))
