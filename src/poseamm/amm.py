@@ -12,11 +12,18 @@ The translation block is plain gradient descent with Barzilai-Borwein
 step lengths, stopping when the objective stalls or would increase.
 
 Each block solve holds the other block fixed for its whole run, so it
-works on a value/gradient pair of its own block only. When the objective
-provides ``rotation_quadric`` / ``translation_quadric`` (see
-``PoseObjective``), the pair evaluates that fixed-size quadric, built once
-per block solve; otherwise it calls the objective's ``value`` and
-gradients.
+works on a gradient and a line function of its own block only: the line
+function gives the change of the objective along a step, which the
+accept tests compare directly. When the objective provides
+``rotation_quadric`` / ``translation_quadric`` (see ``PoseObjective``),
+that fixed-size quadric is built once per block solve and the change
+along a step has a closed form: a trigonometric polynomial in the angle
+whose five coefficients come once per rotation step, and a quadratic in
+the step length for the translation. Trials then cost a few float
+operations, and only the accepted rotation is built as a matrix.
+Otherwise the change is a difference of the objective's ``value`` calls,
+made exactly as often and in the same order as a loop that tracks values
+would make them.
 
 Both solvers only ever accept steps that decrease their block objective.
 Block quadrics and the full objective round differently, so the outer
@@ -43,9 +50,6 @@ _REPROJECT_EVERY = 50
 _INNER_CAP = 100_000     # safety net; unreachable on objectives bounded below
 _AXIS_FLOOR = 1e-14      # shorter rotation axes give no usable step direction
 _SQRT2 = math.sqrt(2.0)
-# vec() stacks columns; the rotation pair works on row-major ravels, so the
-# quadric is permuted once: _ROW_MAJOR[i] is the vec() index of ravel entry i.
-_ROW_MAJOR = np.array([0, 3, 6, 1, 4, 7, 2, 5, 8])
 
 
 @dataclass(frozen=True)
@@ -85,50 +89,138 @@ class AmmResult:
     objective_trace: tuple
 
 
+def _value_lines(value):
+    """``start(x) -> (value(x), f)`` for line searches by value differences.
+
+    ``f(new)`` returns value(new) and remembers it until the next start;
+    a start at a point ``f`` was called on reuses that value, so the
+    objective is evaluated once per point, as a loop that carries the
+    value of its accepted trial would.
+    """
+    seen = {}
+
+    def start(x):
+        nonlocal seen
+        fx = seen.get(x.tobytes())
+        if fx is None:
+            fx = value(x)
+        trials = seen = {}
+
+        def f(new):
+            out = trials[new.tobytes()] = value(new)
+            return out
+        return fx, f
+    return start
+
+
 def _rotation_block(objective: PoseObjective, t: np.ndarray):
-    """(value, gradient) of the objective over rotations at translation t."""
+    """(gradient, line) of the objective over rotations at translation t.
+
+    ``line(x)`` starts the line searches from the iterate x and returns
+    ``search(axis, gu, gw)``. With K the cross-product matrix of the unit
+    axis, and gu = g'u, gw = g'w the slopes of the gradient g at x along
+    u = vec(Kx) and w = vec(K^2 x), ``search`` returns ``(delta, point)``:
+    ``point(s, c)`` is x + s Kx + c K^2 x, the iterate rotated by the
+    angle with s = sin and c = 1 - cos, and ``delta(s, c)`` the change of
+    the objective from x to that point.
+
+    On a rotation quadric (P, q, k) the change is the polynomial
+        delta = s gu + c gw + s^2 u'Pu + c^2 w'Pw + 2 s c u'Pw,
+    whose three quadratic coefficients ``search`` computes once per line,
+    so a trial costs a few float operations and builds no matrix.
+    Otherwise delta = value(point) - value(x).
+    """
     quadric = getattr(objective, "rotation_quadric", None)
     if quadric is None:
-        return (lambda x: float(objective.value(x, t)),
-                lambda x: np.asarray(objective.rotation_gradient(x, t), dtype=float))
-    p, q, k = quadric(t)
-    p = np.asarray(p, dtype=float)[np.ix_(_ROW_MAJOR, _ROW_MAJOR)]
-    q = np.asarray(q, dtype=float)[_ROW_MAJOR]
-    k = float(k)
+        start = _value_lines(lambda x: float(objective.value(x, t)))
 
-    def value(x):
-        r = x.ravel()
-        return float(r @ (p @ r + q)) + k
+        def line(x):
+            fx, f = start(x)
 
-    def gradient(x):
-        return (2.0 * (p @ x.ravel()) + q).reshape(3, 3)
+            def search(axis, gu, gw):
+                a0, a1, a2 = axis
+                k = np.array([[0.0, -a2, a1], [a2, 0.0, -a0], [-a1, a0, 0.0]])
+                kx = k @ x
+                k2x = k @ kx
 
-    return value, gradient
+                def point(s, c):
+                    return x + s * kx + c * k2x
+                return (lambda s, c: f(point(s, c)) - fx), point
+            return search
+
+        return (lambda x: np.asarray(objective.rotation_gradient(x, t), dtype=float),
+                line)
+    # Iterates are C-ordered 3x3 arrays, so the quadric is taken to their
+    # row-major ravels once: vec index i + 3j becomes 3i + j.
+    p, q, _ = quadric(t)
+    p = np.asarray(p, dtype=float).reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9)
+    p2 = 2.0 * p
+    q = np.asarray(q, dtype=float).reshape(3, 3).T.ravel()
+
+    def line(x):
+        def search(axis, gu, gw):
+            a0, a1, a2 = axis
+            # [Kx, K^2 x] from [K, K^2] with K^2 = aa' - I; their rows,
+            # raveled, are u and w in the order of p.
+            kkx = np.array([0.0, -a2, a1, a2, 0.0, -a0, -a1, a0, 0.0,
+                            a0 * a0 - 1.0, a0 * a1, a0 * a2,
+                            a0 * a1, a1 * a1 - 1.0, a1 * a2,
+                            a0 * a2, a1 * a2, a2 * a2 - 1.0]).reshape(2, 3, 3) @ x
+            pair = kkx.reshape(2, 9)
+            (uu, uw), (_, ww) = np.dot(np.dot(pair, p), pair.T).tolist()
+            uw *= 2.0
+            kx, k2x = kkx
+
+            def point(s, c):
+                return x + s * kx + c * k2x
+
+            def delta(s, c):
+                return s * gu + c * gw + s * s * uu + c * c * ww + s * c * uw
+            return delta, point
+        return search
+
+    return (lambda x: (np.dot(p2, x.ravel()) + q).reshape(3, 3)), line
 
 
 def _translation_block(objective: PoseObjective, r: np.ndarray):
-    """(value, gradient) of the objective over translations at rotation r."""
+    """(gradient, line) of the objective over translations at rotation r.
+
+    ``line(x)`` starts the descent steps from x and returns
+    ``step(g, alpha)``, which for the gradient g at x gives the change of
+    the objective from x to x - alpha g and the gradient there. On a
+    translation quadric (A, b, k) these are alpha (alpha g'Ag - g'g) and
+    g - 2 alpha Ag; otherwise value(new) - value(x) and the objective's
+    translation gradient.
+    """
     quadric = getattr(objective, "translation_quadric", None)
     if quadric is None:
-        return (lambda x: float(objective.value(r, x)),
-                lambda x: np.asarray(objective.translation_gradient(r, x), dtype=float))
-    a, b, k = quadric(r)
+        start = _value_lines(lambda x: float(objective.value(r, x)))
+
+        def line(x):
+            fx, f = start(x)
+
+            def step(g, alpha):
+                new = x - alpha * g
+                return (f(new) - fx,
+                        np.asarray(objective.translation_gradient(r, new), dtype=float))
+            return step
+
+        return (lambda x: np.asarray(objective.translation_gradient(r, x), dtype=float),
+                line)
+    a, b, _ = quadric(r)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    k = float(k)
-    return (lambda x: float(x @ (a @ x + b)) + k,
-            lambda x: 2.0 * (a @ x) + b)
+
+    def step(g, alpha):
+        ag = a @ g
+        return alpha * (alpha * float(g @ ag) - float(g @ g)), g - (2.0 * alpha) * ag
+
+    return (lambda x: 2.0 * (a @ x) + b), lambda x: step
 
 
-def _rotate(x, kx, k2x, angle: float):
-    """(expm(angle K) x, Frobenius norm of the step) for a unit axis K.
-
-    Rodrigues' formula with Kx and K^2 x precomputed; the step norm is
-    ||expm(angle K) - I||_F = sqrt(2 (sin^2 + (1 - cos)^2)).
-    """
-    s = math.sin(angle)
-    c = 1.0 - math.cos(angle)
-    return x + s * kx + c * k2x, _SQRT2 * math.hypot(s, c)
+def _sin_cos(angle: float):
+    """(sin, 1 - cos) of a rotation angle: the Rodrigues coefficients."""
+    return math.sin(angle), 1.0 - math.cos(angle)
 
 
 def rotation_subsolve(objective: PoseObjective, rotation_init, translation_fixed,
@@ -142,15 +234,16 @@ def rotation_subsolve(objective: PoseObjective, rotation_init, translation_fixed
     the step length underflows on a flat objective (the best iterate so
     far is returned in that case).
     """
-    value, gradient = _rotation_block(
+    gradient, line = _rotation_block(
         objective, np.asarray(translation_fixed, dtype=float))
     x = np.asarray(rotation_init, dtype=float)
     mu = config.initial_mu
-    gx = value(x)
+    search = line(x)
     for inner in range(1, _INNER_CAP + 1):
         # Riemannian gradient Z = grad X' - X grad' = M - M' with M = grad X';
         # (a0, a1, a2) is the axis of -Z and rate = 0.5 tr(ZZ') its decrease rate.
-        m = (gradient(x) @ x.T).tolist()
+        g = gradient(x)
+        m = (g @ x.T).tolist()
         a0 = m[1][2] - m[2][1]
         a1 = m[2][0] - m[0][2]
         a2 = m[0][1] - m[1][0]
@@ -163,33 +256,38 @@ def rotation_subsolve(objective: PoseObjective, rotation_init, translation_fixed
         if n < _AXIS_FLOOR:
             break                             # no step direction: every trial is x
         a0, a1, a2 = a0 / n, a1 / n, a2 / n
-        k = np.array([[0.0, -a2, a1], [a2, 0.0, -a0], [-a1, a0, 0.0]])
-        kx = k @ x
-        k2x = k @ kx
-        xp, step_p = _rotate(x, kx, k2x, mu * n)
-        gp = value(xp)
-        xq, step_q = _rotate(x, kx, k2x, 2.0 * mu * n)
-        gq = value(xq)
-        while gx - gq >= mu * rate and mu < _MU_MAX:   # doubled step still pays off
-            xp, step_p, gp = xq, step_q, gq
+        # Slopes along u = vec(Kx) and w = vec(K^2 x): g'u = tr(K M') = -n,
+        # and g'w = tr(K^2 M') = a'Ma - tr(M), since K^2 = aa' - I.
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+        gw = (a0 * (a0 * m00 + a1 * m01 + a2 * m02)
+              + a1 * (a0 * m10 + a1 * m11 + a2 * m12)
+              + a2 * (a0 * m20 + a1 * m21 + a2 * m22)) - (m00 + m11 + m22)
+        delta, point = search((a0, a1, a2), -n, gw)
+        sp, cp = _sin_cos(mu * n)
+        dp = delta(sp, cp)
+        sq, cq = _sin_cos(2.0 * mu * n)
+        dq = delta(sq, cq)
+        while -dq >= mu * rate and mu < _MU_MAX:      # doubled step still pays off
+            sp, cp, dp = sq, cq, dq
             mu *= 2.0
-            xq, step_q = _rotate(x, kx, k2x, 2.0 * mu * n)
-            gq = value(xq)
+            sq, cq = _sin_cos(2.0 * mu * n)
+            dq = delta(sq, cq)
         collapsed = False
-        while gx - gp < 0.5 * mu * rate:               # shrink to sufficient decrease
+        while -dp < 0.5 * mu * rate:                  # shrink to sufficient decrease
             mu *= 0.5
             if mu < _MU_MIN:
                 collapsed = True
                 break
-            xp, step_p = _rotate(x, kx, k2x, mu * n)
-            gp = value(xp)
+            sp, cp = _sin_cos(mu * n)
+            dp = delta(sp, cp)
         if collapsed:
             break
-        x, gx = xp, gp
+        x = point(sp, cp)
         if inner % _REPROJECT_EVERY == 0:
             x = project_to_so3(x)
-            gx = value(x)
-        if step_p < config.tol_rotation:
+        search = line(x)
+        # ||expm(theta K) - I||_F = sqrt(2 (sin^2 + (1 - cos)^2))
+        if _SQRT2 * math.hypot(sp, cp) < config.tol_rotation:
             break
     return x
 
@@ -204,29 +302,28 @@ def translation_subsolve(objective: PoseObjective, translation_init, rotation_fi
     increase it ends the descent, and a vanishing gradient change is
     treated as convergence.
     """
-    value, gradient = _translation_block(
+    gradient, line = _translation_block(
         objective, np.asarray(rotation_fixed, dtype=float))
     x = np.asarray(translation_init, dtype=float)
     alpha = config.initial_alpha
-    h = value(x)
+    step = line(x)
     g = gradient(x)
     for _ in range(_INNER_CAP):
+        dh, g_new = step(g, alpha)
         x_new = x - alpha * g
-        h_new = value(x_new)
-        g_new = gradient(x_new)
         dg = g_new - g
         dg_norm = math.sqrt(float(dg @ dg))
         if dg_norm < _GRAD_DELTA_FLOOR:
             # gradient unchanged to machine precision: nothing left to exploit
-            if h_new <= h:
+            if dh <= 0.0:
                 x = x_new
             return x
         alpha = float((x_new - x) @ dg) / (dg_norm * dg_norm)
-        if h_new > h:
+        if dh > 0.0:
             return x
-        delta = abs(h_new - h)
-        x, h, g = x_new, h_new, g_new
-        if delta < config.tol_translation:
+        x, g = x_new, g_new
+        step = line(x)
+        if -dh < config.tol_translation:
             return x
     return x
 

@@ -16,10 +16,11 @@ invariants hold exactly. Non-finite fields, and fields that overflow when
 renormalized, are rejected.
 
 Errors name the first faulty line (1-based, counting comments and blank
-lines). Within a line the faults are looked for in this order: a
-non-numeric field, a wrong field count, a non-finite field, then per
-bearing or direction a zero vector, an overflow on renormalization and,
-for relative lines, the direction-moment product.
+lines). Within a line the faults are looked for in this order: bytes that
+are not UTF-8 (anywhere on the line, comments included), a non-numeric
+field, a wrong field count, a non-finite field, then per bearing or
+direction a zero vector, an overflow on renormalization and, for relative
+lines, the direction-moment product.
 
 The sweep CSV stores one trial record per row with floats printed to 17
 significant digits, so write -> read -> write is byte-identical.
@@ -62,18 +63,33 @@ def _numeric(fields) -> bool:
     return True
 
 
+def _undecodable(line: str) -> bool:
+    """Whether a line read with errors="surrogateescape" held bytes that
+    are not UTF-8 (they come back as lone surrogates)."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def _read_rows(stream, path: str):
     """-> (kind, values, linenos, stop) for the data lines of a file.
 
     ``values`` holds the fields of the lines ``linenos`` as an (N, width)
-    float array. Reading ends at the first line that has the wrong field
-    count or a non-numeric field; ``stop`` is the ParseError of that line,
-    else None.
+    float array. Reading ends at the first line that is not valid UTF-8,
+    has the wrong field count or has a non-numeric field; ``stop`` is the
+    ParseError of that line, else None.
     """
     kind = None
     values = array("d")
     linenos = []
     for lineno, raw in enumerate(stream, start=1):
+        if not raw.isascii() and _undecodable(raw):
+            stop = ParseError(f"line {lineno}: not valid UTF-8")
+            if kind is None:
+                raise stop
+            break
         content = raw.split("#", 1)[0]
         fields = content.split()
         if not fields:
@@ -157,7 +173,7 @@ def parse_correspondence_file(path):
     Raises ParseError, or ConstraintViolation for a relative line whose
     direction-moment product exceeds 1e-6.
     """
-    with open(path, "r", encoding="utf-8") as stream:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as stream:
         kind, values, linenos, stop = _read_rows(stream, str(path))
     corrs = _checked_set(kind, values, linenos)
     if stop is not None:

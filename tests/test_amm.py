@@ -348,12 +348,12 @@ class TestBlockQuadricPath:
         block = amm._rotation_block
 
         def recording_block(objective, t):
-            value, gradient = block(objective, t)
+            gradient, line = block(objective, t)
 
             def recorded(x):
                 rotations.append(np.array(x))
                 return gradient(x)
-            return value, recorded
+            return recorded, line
 
         monkeypatch.setattr(amm, "_rotation_block", recording_block)
         for form, pose0 in _criterion_4_grid():

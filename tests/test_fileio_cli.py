@@ -507,3 +507,33 @@ class TestNonFiniteInput:
                          "--t0", t0])
         assert code == 2
         assert "--t0 must be finite" in capsys.readouterr().err
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("data,line", [
+        (b"absolute\n1 2 3 0 0 1 0 0 0 \xff\n", 2),
+        (b"\xffabsolute\n1 2 3 0 0 1 0 0 0\n", 1),
+        (b"absolute\n1 2 3 0 0 1 0 0 0\n4 5 6 0 1 0 0 0 0 # caf\xe9\n", 3),
+        (b"relative\n1 0 0  0 0 0  0 1 0  0 0 0\n1 0 0  0 0 0  0 \xc3 0  0 0 0\n", 3),
+    ], ids=["field", "header", "latin-1-comment", "truncated-sequence"])
+    def test_solve_exits_2_names_line(self, tmp_path, capsys, data, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=f"line {line}: not valid UTF-8"):
+            fileio.parse_correspondence_file(path)
+        solver = "amm-gec" if data.startswith(b"relative") else "amm-gpnp"
+        code = cli.main(["solve", "--input", str(path), "--solver", solver])
+        assert code == 2
+        assert f"line {line}: not valid UTF-8" in capsys.readouterr().err
+
+    def test_earlier_faulty_line_wins(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"absolute\n1 2 3 0 0 1 0 0\n1 2 3 0 0 1 0 0 0 \xff\n")
+        with pytest.raises(ParseError, match="line 2: expected 9 fields"):
+            fileio.parse_correspondence_file(path)
+
+    def test_utf8_comment_is_accepted(self, tmp_path):
+        path = tmp_path / "ok.txt"
+        path.write_bytes("absolute # café\n1 2 3 0 0 1 0 0 0\n".encode("utf-8"))
+        kind, corrs = fileio.parse_correspondence_file(path)
+        assert kind == "absolute" and len(corrs) == 1

@@ -8,8 +8,8 @@ import pytest
 
 from poseamm import PointRaySet, RayPairSet
 from poseamm.absolute import PointRayCorrespondence
-from poseamm.bench import (RIG_CENTRAL, SceneConfig, _camera_offset,
-                           _MIN_CAMERA_DISTANCE_RATIO, _random_unit,
+from poseamm.bench import (RIG_CENTRAL, RIG_NON_CENTRAL, SceneConfig, _camera_offset,
+                           _cross, _MIN_CAMERA_DISTANCE_RATIO, _random_unit,
                            apply_pixel_noise, generate_absolute_scene,
                            generate_relative_scene, random_pose)
 from poseamm.geometry import ObservedRay, PlueckerLine
@@ -124,6 +124,90 @@ class TestGenerators:
         _, corrs = generate_relative_scene(config, np.random.default_rng([3, 2, 7]))
         _, ref = record_generate_relative(config, np.random.default_rng([3, 2, 7]))
         np.testing.assert_array_equal(corrs.d2, [c.line2.direction for c in ref])
+
+
+def np_cross_pixel_noise(bearing, sigma_px, focal_px, rng):
+    """apply_pixel_noise with its tangent basis from np.cross."""
+    b = np.asarray(bearing, dtype=float)
+    if sigma_px == 0.0:
+        return b
+    helper = np.zeros(3)
+    helper[int(np.argmin(np.abs(b)))] = 1.0
+    e1 = _unit(np.cross(b, helper))
+    e2 = np.cross(b, e1)
+    dx, dy = rng.normal(0.0, sigma_px, size=2)
+    return _unit(b + (dx * e1 + dy * e2) / focal_px)
+
+
+def np_cross_generate_absolute(config, rng):
+    """The array-filling generator loop with np.cross."""
+    truth = random_pose(rng, config)
+    n = config.num_correspondences
+    points, bearings, offsets = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
+    for i in range(n):
+        offset = _camera_offset(rng, config)
+        bearing = _random_unit(rng)
+        depth = rng.uniform(*config.point_depth_range)
+        points[i] = truth.rotation.T @ (offset + depth * bearing - truth.translation)
+        bearings[i] = np_cross_pixel_noise(bearing, config.noise_sigma_px,
+                                           config.focal_px, rng)
+        offsets[i] = offset
+    return truth, (points, bearings, offsets)
+
+
+def np_cross_generate_relative(config, rng):
+    """The array-filling generator loop with np.cross."""
+    truth = random_pose(rng, config)
+    min_distance = _MIN_CAMERA_DISTANCE_RATIO * config.point_depth_range[0]
+    n = config.num_correspondences
+    d1, m1, d2, m2 = (np.empty((n, 3)) for _ in range(4))
+    for i in range(n):
+        while True:
+            offset1 = _camera_offset(rng, config)
+            dir1 = _random_unit(rng)
+            depth = rng.uniform(*config.point_depth_range)
+            point1 = offset1 + depth * dir1
+            point2 = truth.rotation.T @ (point1 - truth.translation)
+            offset2 = _camera_offset(rng, config)
+            if np.linalg.norm(point2 - offset2) >= min_distance:
+                break
+        dir2 = _unit(point2 - offset2)
+        dir1 = np_cross_pixel_noise(dir1, config.noise_sigma_px, config.focal_px, rng)
+        dir2 = np_cross_pixel_noise(dir2, config.noise_sigma_px, config.focal_px, rng)
+        d1[i], m1[i] = dir1, np.cross(offset1, dir1)
+        d2[i], m2[i] = dir2, np.cross(offset2, dir2)
+    return truth, (d1, m1, d2, m2)
+
+
+class TestGeneratorsMatchNpCross:
+    """The generators' scalar cross product leaves every array bit-identical."""
+
+    def test_cross_matches_np_cross(self):
+        rng = np.random.default_rng(9)
+        vectors = [rng.normal(size=3) * 10.0 ** rng.integers(-8, 8) for _ in range(200)]
+        vectors += [np.array(v) for v in ([0.0, -0.0, 1.0], [-1.0, 0.0, 0.0],
+                                          [0.0, 0.0, 0.0], [-0.0, -2.5, 0.0])]
+        for a in vectors[::7]:
+            for b in vectors:
+                assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+    @pytest.mark.parametrize("rig", [RIG_CENTRAL, RIG_NON_CENTRAL])
+    @pytest.mark.parametrize("noise", [0.0, 3.0])
+    @pytest.mark.parametrize("n", [1, 20, 2000])
+    def test_scenes_bit_identical(self, rig, noise, n):
+        config = SceneConfig(num_correspondences=n, noise_sigma_px=noise, rig=rig,
+                             seed=n + 7)
+        for generate, reference, names in (
+                (generate_absolute_scene, np_cross_generate_absolute,
+                 ("points", "bearings", "offsets")),
+                (generate_relative_scene, np_cross_generate_relative,
+                 ("d1", "m1", "d2", "m2"))):
+            truth, corrs = generate(config)
+            ref_truth, ref = reference(config, np.random.default_rng(config.seed))
+            assert truth.rotation.tobytes() == ref_truth.rotation.tobytes()
+            assert truth.translation.tobytes() == ref_truth.translation.tobytes()
+            for name, want in zip(names, ref):
+                assert getattr(corrs, name).tobytes() == want.tobytes(), name
 
 
 class TestRowChecks:
