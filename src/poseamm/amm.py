@@ -29,12 +29,24 @@ Both solvers only ever accept steps that decrease their block objective.
 Block quadrics and the full objective round differently, so the outer
 loop re-evaluates the full objective and accepts an outer iterate only if
 that value did not rise; the outer objective trace is nonincreasing.
+
+The rotation block is solved inexactly while the alternation still moves
+(a forcing schedule, as in inexact block-coordinate descent): outer
+iteration k runs its rotation solve to
+max(tol_rotation, _FORCING * ||R_{k-1} - R_{k-2}||_F), how far the
+previous outer iteration moved the rotation, and the first one to
+tol_rotation. The move is a distance between rotations, free of the
+scene's units, so the schedule does not depend on its scale; as the
+alternation converges the move shrinks and the tolerance returns to
+tol_rotation, its floor. Only the outer loop applies the schedule; a
+block solver called on its own runs to the tolerance of its config.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,6 +56,7 @@ from .objectives import PoseObjective
 
 _MU_MAX = 1e6            # cap for the doubling schedule on pathological objectives
 _MU_MIN = 1e-16          # below this the step has collapsed; keep the current iterate
+_FORCING = 1e-2          # rotation tolerance per radian the last outer iteration moved R
 _RATE_FLOOR = 1e-30      # squared-gradient scale treated as a stationary rotation
 _GRAD_DELTA_FLOOR = 1e-16  # gradient changes below this mean the descent is done
 _REPROJECT_EVERY = 50
@@ -57,10 +70,14 @@ class AmmConfig:
     """Tolerances and step seeds for the alternating solver.
 
     tol_outer stops the outer loop on the absolute objective change;
-    tol_rotation is a Frobenius threshold on the rotation step;
+    tol_rotation is a Frobenius threshold on the rotation step:
+    ``rotation_subsolve`` stops below it, and ``solve_amm`` uses it as the
+    floor of its rotation tolerance schedule (see the module docstring);
     tol_translation an absolute threshold on the translation objective
     change. use_closed_form_translation swaps the translation descent for
     the exact quadratic minimizer on objectives that provide one.
+    Tolerances and step seeds must be finite and positive, and
+    max_outer_iters an integer of at least 1.
     """
 
     tol_outer: float = 1e-9
@@ -74,8 +91,16 @@ class AmmConfig:
     def __post_init__(self):
         for name in ("tol_outer", "tol_rotation", "tol_translation",
                      "initial_mu", "initial_alpha"):
-            if getattr(self, name) <= 0.0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        try:
+            operator.index(self.max_outer_iters)
+        except TypeError:
+            raise ValueError(f"max_outer_iters must be an integer, "
+                             f"got {self.max_outer_iters!r}") from None
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
 
@@ -334,10 +359,12 @@ def solve_amm(objective: PoseObjective, translation_init,
 
     The rotation is solved first at the initial translation, warm-started
     from ``rotation_init`` (identity when omitted) and thereafter from the
-    previous outer iterate. Stops when the objective changes by less than
-    ``config.tol_outer`` between outer iterations (converged), when an
-    outer iteration would raise the objective (converged; the previous
-    iterate is kept), or at the iteration cap (not converged). The final
+    previous outer iterate; after the first outer iteration each rotation
+    solve runs to the forcing tolerance of the module docstring, never
+    below ``config.tol_rotation``. Stops when the objective changes by
+    less than ``config.tol_outer`` between outer iterations (converged),
+    when an outer iteration would raise the objective (converged; the
+    previous iterate is kept), or at the iteration cap (not converged). The final
     objective is evaluated at the returned pose. Raises NonFiniteObjective
     if any evaluation returns NaN or infinity.
     """
@@ -351,8 +378,9 @@ def solve_amm(objective: PoseObjective, translation_init,
     trace = []
     converged = False
     outer = 0
+    inner_config = config
     for outer in range(1, config.max_outer_iters + 1):
-        r_new = rotation_subsolve(objective, r, t, config)
+        r_new = rotation_subsolve(objective, r, t, inner_config)
         t_new = t
         if use_closed:
             t_exact = objective.closed_form_translation(r_new)
@@ -368,6 +396,12 @@ def solve_amm(objective: PoseObjective, translation_init,
             # objectives, so a rise is rounding: nothing left to gain.
             converged = True
             break
+        # Forcing: the next rotation solve need only be as tight as this
+        # outer iteration moved the rotation, down to the configured floor.
+        move = r_new - r
+        tol = max(config.tol_rotation, _FORCING * math.sqrt(float(np.vdot(move, move))))
+        inner_config = (config if tol == config.tol_rotation
+                        else replace(config, tol_rotation=tol))
         r, t = r_new, t_new
         trace.append(f)
         if f_prev - f < config.tol_outer:

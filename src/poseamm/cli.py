@@ -125,11 +125,15 @@ def _cmd_bench(args) -> int:
         print("error: trials and points must be >= 1 and seed >= 0",
               file=sys.stderr)
         return 2
+    try:
+        amm_config = _amm_config(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     config = SceneConfig(num_correspondences=args.points, rig=rig, seed=args.seed)
     records = bench.run_sweep(config, problem, levels, args.trials,
                               solvers=solvers, init=args.init,
-                              amm_config=_amm_config(args),
-                              measure_time=args.time)
+                              amm_config=amm_config, measure_time=args.time)
     failed = sum(1 for r in records if math.isinf(r.final_objective))
     total = len(records)
     if args.summary:
@@ -172,6 +176,7 @@ def _cmd_solve(args) -> int:
         return 2
     try:
         t0 = _parse_t0(args.t0) if args.t0 is not None else None
+        amm_config = _amm_config(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -183,7 +188,7 @@ def _cmd_solve(args) -> int:
             t0, r0 = pose0.translation, pose0.rotation
         else:
             r0 = None
-        result = solve_amm(objective, t0, _amm_config(args), rotation_init=r0)
+        result = solve_amm(objective, t0, amm_config, rotation_init=r0)
     except PoseSolverError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

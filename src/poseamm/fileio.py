@@ -228,6 +228,8 @@ def write_sweep_csv(records: Sequence[TrialRecord], path) -> None:
 
 
 def _parse_csv_row(row: str, lineno: int) -> TrialRecord:
+    if not row.isascii() and _undecodable(row):
+        raise ParseError(f"line {lineno}: not valid UTF-8")
     fields = row.split(",")
     if len(fields) != 9:
         raise ParseError(f"line {lineno}: expected 9 CSV fields, got {len(fields)}")
@@ -248,12 +250,24 @@ def _parse_csv_row(row: str, lineno: int) -> TrialRecord:
 
 
 def read_sweep_csv(source) -> list:
-    """Parse a sweep CSV from a path or a file-like object."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as stream:
-            text = stream.read()
+    """Parse a sweep CSV from a path or a file-like object.
+
+    A binary stream is decoded as UTF-8. Raises ParseError naming the first
+    faulty line; a line holding bytes that are not UTF-8 (in text, the lone
+    surrogates errors="surrogateescape" decodes them to) is faulty.
+    """
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8", errors="surrogateescape") as stream:
+                text = stream.read()
+    except UnicodeDecodeError as exc:
+        # A strict text stream decodes what read() returns in one piece.
+        lineno = exc.object[:exc.start].count(b"\n") + 1
+        raise ParseError(f"line {lineno}: not valid UTF-8") from None
+    if isinstance(text, bytes):
+        text = text.decode("utf-8", errors="surrogateescape")
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError("line 1: missing or unexpected CSV header")

@@ -30,6 +30,10 @@ from .geometry import (LINE_SHAPE_MESSAGE, PlueckerLine, check_rows,
                        frozen_rows, line_faults, skew, unvec, vec)
 from .objectives import PoseObjective
 
+# The I9 half of the rotation lift L_t = [I3 kron skew(t); I9]; the first
+# nine rows are filled per translation.
+_LIFT = np.vstack([np.zeros((9, 9)), np.eye(9)])
+
 
 @dataclass(frozen=True)
 class RayCorrespondence:
@@ -151,18 +155,32 @@ class GecForm(PoseObjective):
         return unvec(flat)
 
     def rotation_quadric(self, translation):
-        """(L_t'M L_t, 0, 0): the objective as r'Pr at this translation."""
-        lift = np.vstack([np.kron(np.eye(3), skew(translation)), np.eye(9)])
-        p = lift.T @ self.m @ lift
+        """(L_t'M L_t, 0, 0): the objective as r'Pr at this translation.
+
+        L_t = [I3 kron skew(t); I9] is filled in place of its three
+        diagonal skew(t) blocks, with no Kronecker product.
+        """
+        lift = _LIFT.copy()
+        tt = skew(translation)
+        lift[0:3, 0:3] = tt
+        lift[3:6, 3:6] = tt
+        lift[6:9, 6:9] = tt
+        p = lift.T @ (self.m @ lift)
         return 0.5 * (p + p.T), np.zeros(9), 0.0
 
     def translation_quadric(self, rotation):
-        """(S'M_EE S, 2 S'M_ER r, r'M_RR r) with S = S_R at this rotation."""
+        """(S'M_EE S, 2 S'M_ER r, r'M_RR r) with S = S_R at this rotation.
+
+        S = -[skew(R e1); skew(R e2); skew(R e3)] is written out from the
+        entries of R in one array.
+        """
         rotation = np.asarray(rotation, dtype=float)
-        s = -np.vstack([skew(rotation[:, 0]), skew(rotation[:, 1]),
-                        skew(rotation[:, 2])])
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = rotation.T.tolist()
+        s = np.array([[0.0, z0, -y0], [-z0, 0.0, x0], [y0, -x0, 0.0],
+                      [0.0, z1, -y1], [-z1, 0.0, x1], [y1, -x1, 0.0],
+                      [0.0, z2, -y2], [-z2, 0.0, x2], [y2, -x2, 0.0]])
         r = vec(rotation)
-        a = s.T @ self.m[:9, :9] @ s
+        a = s.T @ (self.m[:9, :9] @ s)
         return (0.5 * (a + a.T), 2.0 * (s.T @ (self.m[:9, 9:] @ r)),
                 float(r @ (self.m[9:, 9:] @ r)))
 

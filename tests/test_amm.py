@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -309,6 +311,20 @@ class TestSolveAmm:
             AmmConfig(initial_alpha=-1.0)
 
 
+class TestConfigFiniteness:
+    @pytest.mark.parametrize("name", ["tol_outer", "tol_rotation", "tol_translation",
+                                      "initial_mu", "initial_alpha"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            AmmConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("inf"), 2.5, "3"])
+    def test_rejects_non_integer_iteration_cap(self, value):
+        with pytest.raises(ValueError, match="max_outer_iters must be an integer"):
+            AmmConfig(max_outer_iters=value)
+
+
 class TestBlockQuadricPath:
     def test_agrees_with_generic_path_on_criterion_4_grid(self):
         # Final objectives are compared relative to the objective at the
@@ -387,3 +403,92 @@ class TestBlockQuadricPath:
                     assert all(cur <= prev for prev, cur in zip(trace, trace[1:]))
                     solves += 1
         assert solves == 50
+
+
+def _grid_solves(forcing):
+    """Solve the criterion-4 grid with ``amm._FORCING`` set to ``forcing``.
+
+    -> (results, rotation steps per solve, tol_rotation of every rotation
+    subsolve). A step is a gradient evaluation of the rotation block.
+    """
+    steps, tols = [], []
+    block, subsolve = amm._rotation_block, amm.rotation_subsolve
+
+    def counting_block(objective, t):
+        gradient, line = block(objective, t)
+
+        def counted(x):
+            steps[-1] += 1
+            return gradient(x)
+        return counted, line
+
+    def recording_subsolve(objective, rotation_init, translation_fixed, config):
+        tols.append(config.tol_rotation)
+        return subsolve(objective, rotation_init, translation_fixed, config)
+
+    results = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(amm, "_FORCING", forcing)
+        patch.setattr(amm, "_rotation_block", counting_block)
+        patch.setattr(amm, "rotation_subsolve", recording_subsolve)
+        for form, pose0 in _criterion_4_grid():
+            steps.append(0)
+            results.append(solve_amm(form, pose0.translation,
+                                     rotation_init=pose0.rotation))
+    return results, steps, tols
+
+
+@pytest.fixture(scope="module")
+def forcing_runs():
+    return {"forced": _grid_solves(amm._FORCING), "unforced": _grid_solves(0.0)}
+
+
+class TestForcingSchedule:
+    def test_forcing_saves_rotation_steps(self, forcing_runs):
+        forced = sum(forcing_runs["forced"][1])
+        unforced = sum(forcing_runs["unforced"][1])
+        solves = len(forcing_runs["forced"][1])
+        print(f"\nrotation steps on the criterion-4 grid ({solves} solves): "
+              f"forced {forced} ({forced / solves:.1f} per solve), "
+              f"unforced {unforced} ({unforced / solves:.1f} per solve)")
+        assert solves == 90
+        assert forced <= 0.7 * unforced
+
+    def test_every_solve_converges(self, forcing_runs):
+        for results, _, _ in forcing_runs.values():
+            assert all(result.converged for result in results)
+
+    def test_poses_agree_with_unforced(self, forcing_runs):
+        for forced, unforced in zip(forcing_runs["forced"][0],
+                                    forcing_runs["unforced"][0]):
+            assert np.linalg.norm(forced.pose.rotation - unforced.pose.rotation) <= 1e-3
+            assert np.linalg.norm(forced.pose.translation
+                                  - unforced.pose.translation) <= 1e-2
+
+    def test_tolerance_never_below_configured(self, forcing_runs):
+        floor = AmmConfig().tol_rotation
+        tols = forcing_runs["forced"][2]
+        assert min(tols) >= floor
+        assert max(tols) > floor                      # the schedule did act
+        assert all(tol == floor for tol in forcing_runs["unforced"][2])
+
+    def test_configured_tolerance_is_first_and_floor(self):
+        # A loose configured tolerance binds once the rotation moves less
+        # than tol_rotation / _FORCING per outer iteration.
+        seen = []
+        subsolve = amm.rotation_subsolve
+
+        def recording(objective, rotation_init, translation_fixed, config):
+            seen.append(config.tol_rotation)
+            return subsolve(objective, rotation_init, translation_fixed, config)
+
+        config = AmmConfig(tol_rotation=1e-5)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(amm, "rotation_subsolve", recording)
+            for form, _ in itertools.islice(_criterion_4_grid(), 0, 90, 9):
+                start = len(seen)
+                solve_amm(form, np.zeros(3), config)
+                assert seen[start] == 1e-5
+        assert min(seen) == 1e-5
+        assert max(seen) > 1e-5
+        assert seen.count(1e-5) > 10

@@ -110,6 +110,44 @@ class TestSweepCsv:
             fileio.read_sweep_csv(io.StringIO(text))
 
 
+class TestUndecodableSweepCsv:
+    # One row whose solver field ends in a byte that is not UTF-8.
+    DATA = (fileio.CSV_HEADER.encode() + b"\n0,0,amm-gpnp,1,2,0,3,0.5,1\n"
+            b"0,1,amm-gpnp\xff,1,2,0,3,0.5,1\n")
+
+    def test_path(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_bytes(self.DATA)
+        with pytest.raises(ParseError, match="line 3: not valid UTF-8"):
+            fileio.read_sweep_csv(path)
+
+    @pytest.mark.parametrize("stream", ["strict-text", "binary"])
+    def test_stream(self, stream):
+        source = io.BytesIO(self.DATA)
+        if stream == "strict-text":
+            source = io.TextIOWrapper(source, encoding="utf-8")
+        with pytest.raises(ParseError, match="line 3: not valid UTF-8"):
+            fileio.read_sweep_csv(source)
+
+    def test_header(self):
+        with pytest.raises(ParseError, match="line 1: missing or unexpected CSV header"):
+            fileio.read_sweep_csv(io.BytesIO(b"\xff" + self.DATA))
+
+    def test_earlier_faulty_row_wins(self):
+        data = self.DATA.replace(b"0,0,amm-gpnp,1,2", b"0,0,amm-gpnp,x,2")
+        with pytest.raises(ParseError, match="line 2: malformed CSV field"):
+            fileio.read_sweep_csv(io.BytesIO(data))
+
+    def test_round_trip(self):
+        text = self.DATA.decode("utf-8", errors="surrogateescape")
+        with pytest.raises(ParseError, match="line 3: not valid UTF-8"):
+            fileio.csv_round_trip(text)
+
+    def test_utf8_solver_name_still_reads(self):
+        text = self.DATA.replace(b"\xff", "\u00e9".encode()).decode()
+        assert fileio.csv_round_trip(text) == text
+
+
 class TestCliBench:
     def test_zero_noise_bench(self, capsys):
         code = cli.main(["bench", "absolute-central", "--trials", "5",
@@ -537,3 +575,31 @@ class TestUndecodableInput:
         path.write_bytes("absolute # café\n1 2 3 0 0 1 0 0 0\n".encode("utf-8"))
         kind, corrs = fileio.parse_correspondence_file(path)
         assert kind == "absolute" and len(corrs) == 1
+
+
+class TestInvalidSolverOptions:
+    CASES = [(["--tol", "inf"], "tol_outer must be finite"),
+             (["--tol", "nan"], "tol_outer must be finite"),
+             (["--tol", "0"], "tol_outer must be positive"),
+             (["--max-iters", "0"], "max_outer_iters must be at least 1")]
+    IDS = ["inf-tol", "nan-tol", "zero-tol", "zero-iters"]
+
+    @pytest.mark.parametrize("options,message", CASES, ids=IDS)
+    def test_solve_exits_2(self, tmp_path, capsys, options, message):
+        path = tmp_path / "scene.txt"
+        fileio.write_correspondence_file(path, "absolute", _scene("absolute", 20))
+        code = cli.main(["solve", "--input", str(path), "--solver", "amm-gpnp",
+                         "--t0", "0,0,0"] + options)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+    @pytest.mark.parametrize("options,message", CASES, ids=IDS)
+    def test_bench_exits_2(self, capsys, options, message):
+        code = cli.main(["bench", "absolute-central", "--trials", "1",
+                         "--noise", "0:1:0"] + options)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err

@@ -189,6 +189,43 @@ class TestGecBlockQuadrics:
         np.testing.assert_allclose(s_r @ translation, v[:9], atol=1e-14)
 
 
+def kron_rotation_quadric(m, translation):
+    """(L_t'M L_t, 0, 0) with the lift built by np.kron, as first written."""
+    lift = np.vstack([np.kron(np.eye(3), skew(translation)), np.eye(9)])
+    p = lift.T @ m @ lift
+    return 0.5 * (p + p.T), np.zeros(9), 0.0
+
+
+def stacked_translation_quadric(m, rotation):
+    """(S'M_EE S, 2 S'M_ER r, r'M_RR r) with S stacked from skew blocks."""
+    s = -np.vstack([skew(rotation[:, 0]), skew(rotation[:, 1]),
+                    skew(rotation[:, 2])])
+    r = vec(rotation)
+    a = s.T @ m[:9, :9] @ s
+    return 0.5 * (a + a.T), 2.0 * (s.T @ (m[:9, 9:] @ r)), float(r @ (m[9:, 9:] @ r))
+
+
+class TestGecQuadricsMatchKronFormula:
+    @pytest.mark.parametrize("n", [17, 20, 500])
+    @pytest.mark.parametrize("source", ["scene", "random"])
+    def test_match(self, rng, n, source):
+        for trial in range(5):
+            if source == "scene":
+                _, corrs = generate_relative_scene(SceneConfig(
+                    seed=trial, num_correspondences=n, noise_sigma_px=2.0), rng)
+            else:
+                corrs = [random_correspondence(rng) for _ in range(n)]
+            form = build_gec_form(corrs)
+            rotation, translation = random_pose_arrays(rng, extent=3.0)
+            for got, want in ((form.rotation_quadric(translation),
+                               kron_rotation_quadric(form.m, translation)),
+                              (form.translation_quadric(rotation),
+                               stacked_translation_quadric(form.m, rotation))):
+                for part, reference in zip(got, want):
+                    assert (np.linalg.norm(np.asarray(part) - reference)
+                            <= 1e-12 * np.linalg.norm(reference))
+
+
 class TestScaleBehaviour:
     def test_central_data_value_invariant_to_translation_scale(self):
         # All rays through a common center: the objective at the true
