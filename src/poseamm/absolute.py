@@ -1,8 +1,9 @@
 """Absolute pose objectives from 3D-point-to-ray correspondences.
 
-Both objectives reduce to the same fixed-size quadratic form, by different
-routes. Each emits three residual rows per correspondence against
-phi = [vec(R); t; 1], and the rows are folded once into the form:
+Both objectives reduce to the same 13x13 quadric over
+phi = [vec(R); t; 1] (``objectives.ABSOLUTE_LIFT``), by different routes.
+Each emits three residual rows per correspondence against phi, and the
+rows are folded once into the form:
 
   * point-to-ray distance: the residual is the component of
     R x + t - c orthogonal to the bearing, i.e. (I - vv')(R x + t - c);
@@ -27,7 +28,7 @@ import numpy as np
 from .exceptions import EmptyData, RankDeficientSystem
 from .geometry import (RAY_SHAPE_MESSAGE, ObservedRay, check_rows, frozen_rows,
                        ray_faults)
-from .objectives import QuadraticPoseForm
+from .objectives import ABSOLUTE_LIFT, QuadricForm
 
 _RANK_TOL = 1e-10  # on the smallest eigenvalue of the stacked normal matrix
 
@@ -144,13 +145,13 @@ def gpnp_rows(corrs: Sequence[PointRayCorrespondence]) -> np.ndarray:
     return _projected_rows(points, proj, offsets).reshape(-1, 13)
 
 
-def build_gpnp_form(corrs: Sequence[PointRayCorrespondence]) -> QuadraticPoseForm:
-    """Fold the summed squared point-to-ray distances into a quadratic form.
+def build_gpnp_form(corrs: Sequence[PointRayCorrespondence]) -> QuadricForm:
+    """Fold the summed squared point-to-ray distances into a quadric form.
 
     Fewer than three correspondences leave the pose underdetermined; the
     form is still built.
     """
-    return QuadraticPoseForm.from_rows(gpnp_rows(corrs))
+    return QuadricForm.from_rows(gpnp_rows(corrs), ABSOLUTE_LIFT)
 
 
 def _depth_system_min_eigenvalue(bearings: np.ndarray) -> float:
@@ -202,6 +203,6 @@ def upnp_rows(corrs: Sequence[PointRayCorrespondence]) -> np.ndarray:
     return rows.reshape(-1, 13)
 
 
-def build_upnp_form(corrs: Sequence[PointRayCorrespondence]) -> QuadraticPoseForm:
-    """Fold the summed squared depth-eliminated residuals into a quadratic form."""
-    return QuadraticPoseForm.from_rows(upnp_rows(corrs))
+def build_upnp_form(corrs: Sequence[PointRayCorrespondence]) -> QuadricForm:
+    """Fold the summed squared depth-eliminated residuals into a quadric form."""
+    return QuadricForm.from_rows(upnp_rows(corrs), ABSOLUTE_LIFT)

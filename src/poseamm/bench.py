@@ -261,13 +261,13 @@ def build_objective(solver: str, corrs):
     """The objective a named solver minimizes over the given correspondences.
 
     Raises RankDeficientSystem for GEC data from two central cameras: all
-    Plücker moments vanish, so the rows of M that couple vec(R) are zero
+    Plücker moments vanish, so the rows of H that couple vec(R) are zero
     and the scale of the translation cannot be observed.
     """
     if solver == SOLVER_GEC:
         form = build_gec_form(corrs)
-        coupling = np.linalg.norm(form.m[9:, :])
-        if coupling <= _CENTRAL_GEC_TOL * np.linalg.norm(form.m):
+        coupling = np.linalg.norm(form.h[9:, :])
+        if coupling <= _CENTRAL_GEC_TOL * np.linalg.norm(form.h):
             raise RankDeficientSystem(
                 "central relative data: the translation scale is unobservable")
         return form
@@ -343,9 +343,9 @@ def _worker_count(max_workers: Optional[int]) -> int:
     env = os.environ.get(THREADS_ENV)
     if env is None:
         return 1
+    if not env.strip().isdecimal():
+        raise ValueError(f"{THREADS_ENV} must be a nonnegative integer, got {env!r}")
     n = int(env)
-    if n < 0:
-        raise ValueError(f"{THREADS_ENV} must be nonnegative")
     return (os.cpu_count() or 1) if n == 0 else n
 
 

@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--max-iters", type=int, default=None,
                          help="outer iteration cap")
     bench_p.add_argument("--closed-form-t", action="store_true",
-                         help="use the exact translation minimizer where available")
+                         help="use the exact translation minimizer")
     bench_p.add_argument("--summary", action="store_true",
                          help="append per-level mean rows (trial column = -1)")
     bench_p.add_argument("--time", action="store_true",
@@ -127,6 +127,7 @@ def _cmd_bench(args) -> int:
         return 2
     try:
         amm_config = _amm_config(args)
+        bench._worker_count(None)  # POSEAMM_THREADS
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

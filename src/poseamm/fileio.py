@@ -252,15 +252,17 @@ def _parse_csv_row(row: str, lineno: int) -> TrialRecord:
 def read_sweep_csv(source) -> list:
     """Parse a sweep CSV from a path or a file-like object.
 
-    A binary stream is decoded as UTF-8. Raises ParseError naming the first
-    faulty line; a line holding bytes that are not UTF-8 (in text, the lone
-    surrogates errors="surrogateescape" decodes them to) is faulty.
+    A binary stream is decoded as UTF-8. Rows end at "\n" only (one "\r"
+    before it is dropped, so CRLF files read). Raises ParseError naming the
+    first faulty line; a line holding bytes that are not UTF-8 (in text,
+    the lone surrogates errors="surrogateescape" decodes them to) is faulty.
     """
     try:
         if hasattr(source, "read"):
             text = source.read()
         else:
-            with open(source, "r", encoding="utf-8", errors="surrogateescape") as stream:
+            with open(source, "r", encoding="utf-8", errors="surrogateescape",
+                      newline="") as stream:
                 text = stream.read()
     except UnicodeDecodeError as exc:
         # A strict text stream decodes what read() returns in one piece.
@@ -268,7 +270,7 @@ def read_sweep_csv(source) -> list:
         raise ParseError(f"line {lineno}: not valid UTF-8") from None
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="surrogateescape")
-    lines = text.splitlines()
+    lines = [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError("line 1: missing or unexpected CSV header")
     return [_parse_csv_row(row, lineno)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .exceptions import DegenerateNullspace, InsufficientData, SingularSystem
 from .geometry import Pose, project_to_so3, unskew, unvec
-from .objectives import QuadraticPoseForm
+from .objectives import QuadricForm
 from .relative import RayCorrespondence, gec_rows
 
 
@@ -57,14 +57,15 @@ def init_relative_17pt(corrs: Sequence[RayCorrespondence]) -> Pose:
     return Pose(rotation, translation)
 
 
-def init_absolute_linear(form: QuadraticPoseForm) -> Pose:
-    """Unconstrained stationary point of a quadratic form, projected to SO(3).
+def init_absolute_linear(form: QuadricForm) -> Pose:
+    """Unconstrained stationary point of an absolute form, projected to SO(3).
 
-    Solves the joint 12x12 linear stationarity system in (vec(R), t),
-    ignoring orthonormality, then projects the rotation block and
-    recomputes the translation exactly at the projected rotation. Twelve
-    unknowns need at least six correspondences; fewer leave the system
-    singular and raise SingularSystem.
+    Solves the joint 12x12 linear stationarity system 2 H_xx x = -2 H_x1 of
+    phi'H phi in x = (vec(R), t), phi = [x; 1], ignoring orthonormality,
+    then projects the rotation block and recomputes the translation
+    exactly at the projected rotation. Twelve unknowns need at least six
+    correspondences; fewer leave the system singular and raise
+    SingularSystem. A form over another lift raises ValueError.
 
     Single-center data makes the form homogeneous (no linear terms), which
     turns the stationarity system into a gauge problem: every multiple of
@@ -72,12 +73,10 @@ def init_absolute_linear(form: QuadraticPoseForm) -> Pose:
     sphere instead, via the eigenvector of the smallest eigenvalue, with
     the scale and sign restored by the SO(3) projection.
     """
-    k = np.zeros((12, 12))
-    k[:9, :9] = 2.0 * form.m_rr
-    k[:9, 9:] = form.m_tr.T
-    k[9:, :9] = form.m_tr
-    k[9:, 9:] = 2.0 * form.m_tt
-    rhs = -np.concatenate([form.v_r, form.v_t])
+    if form.h.shape != (13, 13):
+        raise ValueError("init_absolute_linear needs a form over phi = [vec(R); t; 1]")
+    k = 2.0 * form.h[:12, :12]
+    rhs = -2.0 * form.h[:12, 12]
     svals = np.linalg.svd(k, compute_uv=False)
     if np.linalg.norm(rhs) <= 1e-12 * max(1.0, svals[0]):
         eigvals, eigvecs = np.linalg.eigh(k)

@@ -1,15 +1,16 @@
-"""The objective contract the alternating solver consumes, and the
-fixed-size quadratic form both absolute-pose objectives reduce to.
+"""The objective contract the alternating solver consumes, and the one
+lifted quadric form all three shipped objectives reduce to.
 
-A quadratic form stores six coefficient blocks of
-    F(R, t) = r'M_rr r + v_r'r + t'M_tr r + t'M_tt t + v_t't + c,
-with r = vec(R), so evaluating the objective or its gradients costs the
-same no matter how many correspondences were folded into the blocks.
-Builders emit stacked residual rows A against phi = [vec(R); t; 1], so
-F = ||A phi||^2, and ``QuadraticPoseForm.from_rows`` reads all six blocks
-off the one 13x13 fold A'A.
-Fixing either block leaves a quadric in the other, which the form hands
-to the solver through ``rotation_quadric`` and ``translation_quadric``.
+Each is F(R, t) = phi'H phi for a symmetric PSD H of fixed size over a
+lifted pose phi(R, t), so its cost does not depend on how many
+correspondences were folded into H. Builders emit residual rows A against
+phi, F = ||A phi||^2, and ``QuadricForm.from_rows`` folds H = A'A once.
+phi is linear in r = vec(R) at a fixed t and affine in t at a fixed R, so
+fixing either block leaves a quadric in the other. A lift supplies phi and
+these two restrictions of H (``rotation_quadric``, ``translation_quadric``),
+and the form takes both gradients and the exact translation minimizer
+from them. The two lifts are the vec(R) lift of UPnP (Kneip, Li and Seo,
+ECCV 2014) and the generalized epipolar constraint (Pless, CVPR 2003).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SingularTranslationSystem
-from .geometry import unvec, vec
+from .geometry import skew, unvec, vec
 
 
 class PoseObjective(ABC):
@@ -57,105 +58,149 @@ class PoseObjective(ABC):
         """Euclidean gradient w.r.t. the translation, as a 3-vector."""
 
 
-def _scaled_tol(base: float, magnitude: float) -> float:
-    return base * max(1.0, magnitude)
+class AbsoluteLift:
+    """phi = [vec(R); t; 1], the lift of both absolute-pose objectives.
+
+    phi selects its entries, so both restrictions are slices of H, split
+    at rows 9 and 12 into the blocks of r, t and the constant 1.
+    """
+
+    size = 13
+
+    def phi(self, rotation, translation) -> np.ndarray:
+        return np.concatenate([vec(rotation), np.asarray(translation, dtype=float),
+                               [1.0]])
+
+    def rotation_quadric(self, h, translation):
+        """(H_rr, 2 (H_r1 + H_rt t), t'H_tt t + 2 H_1t t + H_11)."""
+        t = np.asarray(translation, dtype=float)
+        return (h[:9, :9], 2.0 * (h[12, :9] + h[9:12, :9].T @ t),
+                float(t @ (h[9:12, 9:12] @ t) + 2.0 * (h[12, 9:12] @ t) + h[12, 12]))
+
+    def translation_quadric(self, h, rotation):
+        """(H_tt, 2 (H_tr r + H_t1), r'H_rr r + 2 H_1r r + H_11)."""
+        r = vec(rotation)
+        return (h[9:12, 9:12], 2.0 * (h[9:12, :9] @ r + h[9:12, 12]),
+                float(r @ (h[:9, :9] @ r) + 2.0 * (h[12, :9] @ r) + h[12, 12]))
 
 
-@dataclass(frozen=True)
-class QuadraticPoseForm(PoseObjective):
-    """Pose objective compressed into fixed-size quadratic coefficients."""
+class GecLift:
+    """phi = [vec(skew(t) R); vec(R)], the generalized epipolar lift.
 
-    m_rr: np.ndarray  # (9, 9), symmetric
-    v_r: np.ndarray   # (9,)
-    m_tr: np.ndarray  # (3, 9)
-    m_tt: np.ndarray  # (3, 3), symmetric PSD
-    v_t: np.ndarray   # (3,)
-    c: float
+    phi = L_t r with L_t = [I3 kron skew(t); I9], and
+    vec(skew(t) R) = S_R t with S_R = -[skew(R e1); skew(R e2); skew(R e3)],
+    so phi = [S_R t; r] at a fixed rotation.
+    """
+
+    size = 18
+
+    def phi(self, rotation, translation) -> np.ndarray:
+        rotation = np.asarray(rotation, dtype=float)
+        return np.concatenate([vec(skew(translation) @ rotation), vec(rotation)])
+
+    def rotation_quadric(self, h, translation):
+        """(L_t'H L_t, 0, 0): the objective as r'Pr at this translation.
+
+        L_t is filled in place: its I9 half, then its three diagonal
+        skew(t) blocks, with no Kronecker product.
+        """
+        lift = np.zeros((18, 9))
+        lift.ravel()[81::10] = 1.0           # entries (9 + i, i): the I9 half
+        tt = skew(translation)
+        for i in (0, 3, 6):
+            lift[i:i + 3, i:i + 3] = tt
+        p = lift.T @ (h @ lift)
+        return 0.5 * (p + p.T), np.zeros(9), 0.0
+
+    def translation_quadric(self, h, rotation):
+        """(S'H_EE S, 2 S'H_ER r, r'H_RR r) with S = S_R at this rotation.
+
+        S is written out from the entries of R in one array.
+        """
+        rotation = np.asarray(rotation, dtype=float)
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = rotation.T.tolist()
+        s = np.array([[0.0, z0, -y0], [-z0, 0.0, x0], [y0, -x0, 0.0],
+                      [0.0, z1, -y1], [-z1, 0.0, x1], [y1, -x1, 0.0],
+                      [0.0, z2, -y2], [-z2, 0.0, x2], [y2, -x2, 0.0]])
+        r = vec(rotation)
+        a = s.T @ (h[:9, :9] @ s)
+        return (0.5 * (a + a.T), 2.0 * (s.T @ (h[:9, 9:] @ r)),
+                float(r @ (h[9:, 9:] @ r)))
+
+
+ABSOLUTE_LIFT = AbsoluteLift()
+GEC_LIFT = GecLift()
+
+
+def _finite_square(h: np.ndarray, lift) -> np.ndarray:
+    """``h`` made read-only, after checking its shape and its entries."""
+    if h.shape != (lift.size, lift.size):
+        raise ValueError(f"H must be {lift.size}x{lift.size} for this lift, "
+                         f"got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("H must be finite")
+    h.setflags(write=False)
+    return h
+
+
+@dataclass(frozen=True, eq=False)
+class QuadricForm(PoseObjective):
+    """The objective phi'H phi over a lift (``ABSOLUTE_LIFT`` or ``GEC_LIFT``).
+
+    A matrix passed in must have the lift's size, finite entries, and be
+    symmetric and positive semidefinite to 1e-10 of max(1, ||H||); the form
+    keeps a read-only copy of its symmetric part.
+    """
+
+    h: np.ndarray
+    lift: AbsoluteLift | GecLift
 
     def __post_init__(self):
-        m_rr = np.asarray(self.m_rr, dtype=float)
-        v_r = np.asarray(self.v_r, dtype=float)
-        m_tr = np.asarray(self.m_tr, dtype=float)
-        m_tt = np.asarray(self.m_tt, dtype=float)
-        v_t = np.asarray(self.v_t, dtype=float)
-        shapes = (m_rr.shape, v_r.shape, m_tr.shape, m_tt.shape, v_t.shape)
-        if shapes != ((9, 9), (9,), (3, 9), (3, 3), (3,)):
-            raise ValueError(f"bad coefficient shapes {shapes}")
-        if np.linalg.norm(m_rr - m_rr.T) > _scaled_tol(1e-10, np.linalg.norm(m_rr)):
-            raise ValueError("m_rr must be symmetric")
-        if np.linalg.norm(m_tt - m_tt.T) > _scaled_tol(1e-10, np.linalg.norm(m_tt)):
-            raise ValueError("m_tt must be symmetric")
-        eig_min = float(np.linalg.eigvalsh(m_tt).min())
-        if eig_min < -_scaled_tol(1e-10, np.linalg.norm(m_tt)):
-            raise ValueError("m_tt must be positive semidefinite")
-        if self.c < -1e-10:
-            raise ValueError("constant term must be nonnegative")
-        for name, arr in (("m_rr", m_rr), ("v_r", v_r), ("m_tr", m_tr),
-                          ("m_tt", m_tt), ("v_t", v_t)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, arr)
+        h = _finite_square(np.array(self.h, dtype=float), self.lift)
+        scale = max(1.0, float(np.linalg.norm(h)))
+        if np.linalg.norm(h - h.T) > 1e-10 * scale:
+            raise ValueError("H must be symmetric")
+        if float(np.linalg.eigvalsh(h).min()) < -1e-10 * scale:
+            raise ValueError("H must be positive semidefinite")
+        object.__setattr__(self, "h", _finite_square(0.5 * (h + h.T), self.lift))
 
-    @staticmethod
-    def from_rows(rows) -> "QuadraticPoseForm":
-        """The form ||A phi||^2 of residual rows A (k, 13), phi = [vec(R); t; 1].
-
-        H = A'A is formed once; m_rr, m_tt and c are its diagonal blocks,
-        m_tr, v_r and v_t twice its off-diagonal ones.
-        """
-        h = np.asarray(rows, dtype=float)
-        h = h.T @ h
-        h = 0.5 * (h + h.T)
-        return QuadraticPoseForm(m_rr=h[:9, :9].copy(), v_r=2.0 * h[12, :9],
-                                 m_tr=2.0 * h[9:12, :9], m_tt=h[9:12, 9:12].copy(),
-                                 v_t=2.0 * h[12, 9:12], c=float(h[12, 12]))
-
-    @staticmethod
-    def zero() -> "QuadraticPoseForm":
-        return QuadraticPoseForm(np.zeros((9, 9)), np.zeros(9), np.zeros((3, 9)),
-                                 np.zeros((3, 3)), np.zeros(3), 0.0)
+    @classmethod
+    def from_rows(cls, rows, lift) -> "QuadricForm":
+        """The form ||A phi||^2 of residual rows A, (k, lift.size): H = A'A,
+        PSD by construction, so only its shape and finiteness are checked."""
+        a = np.asarray(rows, dtype=float)
+        h = a.T @ a
+        form = object.__new__(cls)
+        object.__setattr__(form, "h", _finite_square(0.5 * (h + h.T), lift))
+        object.__setattr__(form, "lift", lift)
+        return form
 
     def value(self, rotation, translation) -> float:
-        r = vec(rotation)
-        t = np.asarray(translation, dtype=float)
-        return float(r @ (self.m_rr @ r) + self.v_r @ r + t @ (self.m_tr @ r)
-                     + t @ (self.m_tt @ t) + self.v_t @ t + self.c)
-
-    def rotation_gradient_flat(self, rotation, translation) -> np.ndarray:
-        """Rotation gradient as a 9-vector (column-major entry order)."""
-        r = vec(rotation)
-        t = np.asarray(translation, dtype=float)
-        return 2.0 * (self.m_rr @ r) + self.v_r + self.m_tr.T @ t
-
-    def rotation_gradient(self, rotation, translation) -> np.ndarray:
-        return unvec(self.rotation_gradient_flat(rotation, translation))
-
-    def translation_gradient(self, rotation, translation) -> np.ndarray:
-        r = vec(rotation)
-        t = np.asarray(translation, dtype=float)
-        return 2.0 * (self.m_tt @ t) + self.m_tr @ r + self.v_t
+        phi = self.lift.phi(rotation, translation)
+        return float(phi @ (self.h @ phi))
 
     def rotation_quadric(self, translation):
         """(P, q, k) with value(R, t) = r'Pr + q'r + k at this translation."""
-        t = np.asarray(translation, dtype=float)
-        return (self.m_rr, self.v_r + self.m_tr.T @ t,
-                float(t @ (self.m_tt @ t) + self.v_t @ t + self.c))
+        return self.lift.rotation_quadric(self.h, translation)
 
     def translation_quadric(self, rotation):
         """(A, b, k) with value(R, t) = t'At + b't + k at this rotation."""
-        r = vec(rotation)
-        return (self.m_tt, self.m_tr @ r + self.v_t,
-                float(r @ (self.m_rr @ r) + self.v_r @ r + self.c))
+        return self.lift.translation_quadric(self.h, rotation)
+
+    def rotation_gradient(self, rotation, translation) -> np.ndarray:
+        p, q, _ = self.rotation_quadric(translation)
+        return unvec(2.0 * (p @ vec(rotation)) + q)
+
+    def translation_gradient(self, rotation, translation) -> np.ndarray:
+        a, b, _ = self.translation_quadric(rotation)
+        return 2.0 * (a @ np.asarray(translation, dtype=float)) + b
 
     def closed_form_translation(self, rotation) -> np.ndarray:
-        """Exact minimizer over t at fixed rotation.
-
-        Solves 2 M_tt t = -(M_tr r + v_t); raises SingularTranslationSystem
-        when M_tt has a singular value at or below 1e-12.
-        """
-        svals = np.linalg.svd(self.m_tt, compute_uv=False)
-        if svals[-1] <= 1e-12:
+        """Exact minimizer over t at fixed rotation: 2A t = -b on the
+        translation quadric; SingularTranslationSystem if A's smallest
+        singular value is at most 1e-12."""
+        a, b, _ = self.translation_quadric(rotation)
+        if np.linalg.svd(a, compute_uv=False)[-1] <= 1e-12:
             raise SingularTranslationSystem(
                 "translation block is singular; no unique minimizer")
-        rhs = -(self.m_tr @ vec(rotation) + self.v_t)
-        return np.linalg.solve(2.0 * self.m_tt, rhs)
+        return np.linalg.solve(2.0 * a, -b)

@@ -100,15 +100,16 @@ class TestBuildGpnpForm:
         corr = PointRayCorrespondence(
             np.zeros(3), ObservedRay(np.array([0.0, 0.0, 1.0]), np.zeros(3)))
         form = build_gpnp_form([corr])
-        np.testing.assert_allclose(form.m_tt, np.diag([1.0, 1.0, 0.0]), atol=1e-15)
-        np.testing.assert_array_equal(form.v_t, np.zeros(3))
-        assert form.c == 0.0
-        np.testing.assert_array_equal(form.m_rr, np.zeros((9, 9)))
+        np.testing.assert_allclose(form.h[9:12, 9:12], np.diag([1.0, 1.0, 0.0]),
+                                   atol=1e-15)
+        np.testing.assert_array_equal(form.h[12, 9:12], np.zeros(3))
+        assert form.h[12, 12] == 0.0
+        np.testing.assert_array_equal(form.h[:9, :9], np.zeros((9, 9)))
 
     def test_zero_at_truth(self):
         truth, corrs = generate_absolute_scene(SceneConfig(seed=21))
         form = build_gpnp_form(corrs)
-        scale = float(np.linalg.norm(form.m_rr)) + abs(form.c) + 1.0
+        scale = float(np.linalg.norm(form.h[:9, :9])) + abs(form.h[12, 12]) + 1.0
         assert abs(form.value(truth.rotation, truth.translation)) < 1e-12 * scale
 
     def test_matches_direct_residual_sum(self, rng):
@@ -251,13 +252,13 @@ class TestBuildUpnpForm:
     def test_zero_at_truth(self):
         truth, corrs = generate_absolute_scene(SceneConfig(seed=31))
         form = build_upnp_form(corrs)
-        scale = float(np.linalg.norm(form.m_rr)) + abs(form.c) + 1.0
+        scale = float(np.linalg.norm(form.h[:9, :9])) + abs(form.h[12, 12]) + 1.0
         assert abs(form.value(truth.rotation, truth.translation)) < 1e-12 * scale
 
     def test_m_tt_is_scaled_identity(self):
         _, corrs = generate_absolute_scene(SceneConfig(seed=5))
         form = build_upnp_form(corrs)
-        np.testing.assert_array_equal(form.m_tt, float(len(corrs)) * np.eye(3))
+        np.testing.assert_array_equal(form.h[9:12, 9:12], float(len(corrs)) * np.eye(3))
 
     def test_residual_recomposition(self, rng):
         # Primary correctness gate: the form must equal the summed squared

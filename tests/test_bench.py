@@ -36,11 +36,11 @@ class TestSceneGeneration:
     def test_all_objectives_vanish_at_truth(self):
         truth, abs_corrs = generate_absolute_scene(SceneConfig(seed=3))
         for form in (build_gpnp_form(abs_corrs), build_upnp_form(abs_corrs)):
-            scale = float(np.linalg.norm(form.m_rr)) + abs(form.c) + 1.0
+            scale = float(np.linalg.norm(form.h[:9, :9])) + abs(form.h[12, 12]) + 1.0
             assert abs(form.value(truth.rotation, truth.translation)) < 1e-12 * scale
         truth2, rel_corrs = generate_relative_scene(SceneConfig(seed=3))
         gec = build_gec_form(rel_corrs)
-        scale = float(np.linalg.norm(gec.m)) + 1.0
+        scale = float(np.linalg.norm(gec.h)) + 1.0
         assert gec.value(truth2.rotation, truth2.translation) < 1e-12 * scale
 
     def test_deterministic_given_seed(self):

@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +109,33 @@ class TestSweepCsv:
         text = fileio.CSV_HEADER + "\n0,0,amm-gpnp,1,2\n"
         with pytest.raises(ParseError, match="line 2"):
             fileio.read_sweep_csv(io.StringIO(text))
+
+
+class TestSweepCsvLineBreaks:
+    # str.splitlines also breaks lines at these; only "\n" ends a row.
+    BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("char", BREAKS, ids=[hex(ord(c)) for c in BREAKS])
+    def test_solver_name_round_trips(self, tmp_path, char):
+        records = run_sweep(SceneConfig(seed=3), "absolute", [0.0], trials=2,
+                            measure_time=False)
+        records = [replace(r, solver_name=f"amm{char}gpnp") for r in records]
+        text = fileio.records_to_csv(records)
+        assert fileio.read_sweep_csv(io.StringIO(text)) == records
+        assert fileio.csv_round_trip(text) == text
+        path = tmp_path / "sweep.csv"
+        fileio.write_sweep_csv(records, path)
+        assert fileio.read_sweep_csv(path) == records
+        assert fileio.records_to_csv(fileio.read_sweep_csv(path)).encode() == path.read_bytes()
+
+    def test_crlf_file_still_parses(self, tmp_path):
+        records = run_sweep(SceneConfig(seed=3), "absolute", [0.0, 2.0], trials=2,
+                            measure_time=False)
+        data = fileio.records_to_csv(records).replace("\n", "\r\n").encode()
+        path = tmp_path / "sweep.csv"
+        path.write_bytes(data)
+        assert fileio.read_sweep_csv(path) == records
+        assert fileio.read_sweep_csv(io.BytesIO(data)) == records
 
 
 class TestUndecodableSweepCsv:
@@ -234,6 +262,15 @@ class TestCliSolve:
     def test_relative_round_trip(self, tmp_path, capsys):
         truth, path = self._write_relative_scene(tmp_path)
         code = cli.main(["solve", "--input", str(path), "--solver", "amm-gec"])
+        assert code == 0
+        rotation, translation = self._parse_pose(capsys.readouterr().out)
+        assert np.linalg.norm(rotation - truth.rotation) < 1e-5
+        assert np.linalg.norm(translation - truth.translation) < 1e-5
+
+    def test_relative_closed_form_translation(self, tmp_path, capsys):
+        truth, path = self._write_relative_scene(tmp_path)
+        code = cli.main(["solve", "--input", str(path), "--solver", "amm-gec",
+                         "--closed-form-t"])
         assert code == 0
         rotation, translation = self._parse_pose(capsys.readouterr().out)
         assert np.linalg.norm(rotation - truth.rotation) < 1e-5
@@ -603,3 +640,13 @@ class TestInvalidSolverOptions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_thread_count_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("POSEAMM_THREADS", value)
+    code = cli.main(["bench", "absolute-central", "--trials", "1", "--noise", "0:1:0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "POSEAMM_THREADS" in captured.err

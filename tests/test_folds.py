@@ -11,7 +11,7 @@ from poseamm.absolute import build_gpnp_form, build_upnp_form
 from poseamm.bench import SceneConfig, generate_absolute_scene, generate_relative_scene
 from poseamm.exceptions import RankDeficientSystem
 from poseamm.initializers import init_relative_17pt
-from poseamm.objectives import QuadraticPoseForm
+from poseamm.objectives import ABSOLUTE_LIFT, GEC_LIFT, QuadricForm
 from poseamm.relative import build_gec_form
 
 SIZES = (1, 3, 17, 20, 500)
@@ -87,10 +87,31 @@ def assert_close(got, expected):
     assert np.linalg.norm(np.asarray(got) - expected) <= FOLD_REL_TOL * scale
 
 
+def assemble_h(m_rr, v_r, m_tr, m_tt, v_t, const):
+    """The 13x13 H of r'M_rr r + v_r'r + t'M_tr r + t'M_tt t + v_t't + c."""
+    h = np.zeros((13, 13))
+    h[:9, :9] = m_rr
+    h[9:12, :9] = 0.5 * m_tr
+    h[:9, 9:12] = 0.5 * m_tr.T
+    h[9:12, 9:12] = m_tt
+    h[12, :9] = h[:9, 12] = 0.5 * v_r
+    h[12, 9:12] = h[9:12, 12] = 0.5 * v_t
+    h[12, 12] = const
+    return h
+
+
+# The blocks of r, t and 1 in phi = [vec(R); t; 1], each compared on its own
+# scale so a small block is not hidden by a large one.
+BLOCKS = ((slice(0, 9), slice(0, 9)), (slice(12, 13), slice(0, 9)),
+          (slice(9, 12), slice(0, 9)), (slice(9, 12), slice(9, 12)),
+          (slice(12, 13), slice(9, 12)), (slice(12, 13), slice(12, 13)))
+
+
 def assert_blocks_close(form, blocks):
-    got = (form.m_rr, form.v_r, form.m_tr, form.m_tt, form.v_t, form.c)
-    for value, expected in zip(got, blocks):
-        assert_close(value, expected)
+    expected = assemble_h(*blocks)
+    np.testing.assert_array_equal(form.h, form.h.T)
+    for index in BLOCKS:
+        assert_close(form.h[index], expected[index])
 
 
 def scene(kind, n, rig):
@@ -118,19 +139,22 @@ class TestFoldsMatchPerCorrespondenceReference:
 
     def test_gec(self, n, rig):
         corrs = scene("relative", n, rig)
-        assert_close(build_gec_form(corrs).m, reference_gec_quadric(corrs))
+        assert_close(build_gec_form(corrs).h, reference_gec_quadric(corrs))
 
 
 class TestSharedFold:
     def test_from_rows_value_is_squared_residual(self, rng):
-        rows = rng.normal(size=(30, 13))
-        form = QuadraticPoseForm.from_rows(rows)
         rotation = rng.normal(size=(3, 3))
         translation = rng.normal(size=3)
-        phi = np.concatenate([rotation.reshape(9, order="F"), translation, [1.0]])
-        residual = rows @ phi
-        assert form.value(rotation, translation) == pytest.approx(
-            float(residual @ residual), rel=1e-12)
+        r = rotation.reshape(9, order="F")
+        e = np.cross(translation, rotation, axis=0).reshape(9, order="F")
+        for lift, phi in ((ABSOLUTE_LIFT, np.concatenate([r, translation, [1.0]])),
+                          (GEC_LIFT, np.concatenate([e, r]))):
+            rows = rng.normal(size=(30, lift.size))
+            form = QuadricForm.from_rows(rows, lift)
+            residual = rows @ phi
+            assert form.value(rotation, translation) == pytest.approx(
+                float(residual @ residual), rel=1e-12)
 
 
 def _peak_bytes(fn, *args):

@@ -10,7 +10,7 @@ from poseamm.exceptions import (DegenerateNullspace, InsufficientData,
 from poseamm.geometry import ObservedRay, rodrigues_step, skew, vec
 from poseamm.initializers import (init_absolute_linear, init_identity,
                                   init_relative_17pt)
-from poseamm.relative import gec_rows
+from poseamm.relative import build_gec_form, gec_rows
 
 
 class TestInitRelative17pt:
@@ -53,6 +53,11 @@ class TestInitRelative17pt:
 
 
 class TestInitAbsoluteLinear:
+    def test_rejects_relative_form(self):
+        _, corrs = generate_relative_scene(SceneConfig(seed=1))
+        with pytest.raises(ValueError, match="phi"):
+            init_absolute_linear(build_gec_form(corrs))
+
     def test_recovers_clean_pose_gpnp(self):
         for seed in range(10):
             truth, corrs = generate_absolute_scene(SceneConfig(seed=seed))
@@ -91,11 +96,7 @@ class TestInitAbsoluteLinear:
                 point, ObservedRay.from_direction(rotation @ point + translation,
                                                   np.zeros(3))))
         form = build_gpnp_form(corrs)
-        k = np.zeros((12, 12))
-        k[:9, :9] = 2.0 * form.m_rr
-        k[:9, 9:] = form.m_tr.T
-        k[9:, :9] = form.m_tr
-        k[9:, 9:] = 2.0 * form.m_tt
+        k = 2.0 * form.h[:12, :12]
         assert np.linalg.svd(k, compute_uv=False)[-1] < 1e-12
         with pytest.raises(SingularSystem):
             init_absolute_linear(form)

@@ -7,8 +7,8 @@ from conftest import (assert_block_quadrics_match, fd_rotation_gradient,
 from poseamm.bench import SceneConfig, generate_relative_scene
 from poseamm.exceptions import EmptyData
 from poseamm.geometry import PlueckerLine, skew, unvec, vec
-from poseamm.relative import (GecForm, RayCorrespondence, build_gec_form,
-                              gec_rows)
+from poseamm.objectives import GEC_LIFT, QuadricForm
+from poseamm.relative import RayCorrespondence, build_gec_form, gec_rows
 
 
 def block_matrix(rotation, translation):
@@ -50,16 +50,14 @@ class TestBuildGecVector:
         for _ in range(50):
             corr = random_correspondence(rng)
             rotation, translation = random_pose_arrays(rng)
-            form = GecForm(np.zeros((18, 18)))
-            v = form.stacked_variable(rotation, translation)
+            v = GEC_LIFT.phi(rotation, translation)
             direct = direct_residual(corr, rotation, translation)
             a = gec_rows([corr])[0]
             assert abs(a @ v - direct) < 1e-12 * max(1.0, abs(direct))
 
     def test_zero_residual_at_truth(self):
         truth, corrs = generate_relative_scene(SceneConfig(seed=8))
-        form = GecForm(np.zeros((18, 18)))
-        v = form.stacked_variable(truth.rotation, truth.translation)
+        v = GEC_LIFT.phi(truth.rotation, truth.translation)
         for corr in corrs:
             assert abs(gec_rows([corr])[0] @ v) < 1e-10
 
@@ -67,7 +65,7 @@ class TestBuildGecVector:
 class TestBuildGecForm:
     def test_single_correspondence_rank_one(self, rng):
         form = build_gec_form([random_correspondence(rng)])
-        assert np.linalg.matrix_rank(form.m) == 1
+        assert np.linalg.matrix_rank(form.h) == 1
 
     def test_empty_raises(self):
         with pytest.raises(EmptyData):
@@ -80,8 +78,8 @@ class TestBuildGecForm:
         for seed in range(5):
             truth, corrs = generate_relative_scene(SceneConfig(seed=seed))
             form = build_gec_form(corrs)
-            v = form.stacked_variable(truth.rotation, truth.translation)
-            scale = float(np.linalg.norm(form.m)) * float(v @ v)
+            v = GEC_LIFT.phi(truth.rotation, truth.translation)
+            scale = float(np.linalg.norm(form.h)) * float(v @ v)
             summed = sum(float(gec_rows([c])[0] @ v) ** 2 for c in corrs)
             assert summed < 1e-18 * scale
             assert form.value(truth.rotation, truth.translation) < 1e-12 * scale
@@ -91,7 +89,7 @@ class TestBuildGecForm:
         form = build_gec_form(corrs)
         v = rng.normal(size=18)
         expected = sum(float(gec_rows([c])[0] @ v) ** 2 for c in corrs)
-        assert float(v @ form.m @ v) == pytest.approx(expected, rel=1e-12)
+        assert float(v @ form.h @ v) == pytest.approx(expected, rel=1e-12)
 
 
 class TestGecValue:
@@ -100,13 +98,13 @@ class TestGecValue:
         form = build_gec_form(corrs)
         rotation, _ = random_pose_arrays(rng)
         r = vec(rotation)
-        expected = float(r @ form.m[9:, 9:] @ r)
+        expected = float(r @ form.h[9:, 9:] @ r)
         assert form.value(rotation, np.zeros(3)) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_at_truth(self):
         truth, corrs = generate_relative_scene(SceneConfig(seed=13))
         form = build_gec_form(corrs)
-        scale = float(np.linalg.norm(form.m)) + 1.0
+        scale = float(np.linalg.norm(form.h)) + 1.0
         assert form.value(truth.rotation, truth.translation) < 1e-12 * scale
 
     def test_matches_raw_residual_sum(self, rng):
@@ -123,7 +121,7 @@ class TestGecValue:
 
 class TestGecGradients:
     def test_zero_form_gradients(self, rng):
-        form = GecForm(np.zeros((18, 18)))
+        form = QuadricForm(np.zeros((18, 18)), GEC_LIFT)
         rotation, translation = random_pose_arrays(rng)
         np.testing.assert_array_equal(form.rotation_gradient(rotation, translation),
                                       np.zeros((3, 3)))
@@ -147,12 +145,12 @@ class TestGecGradients:
 
     def test_zero_translation_reduction(self, rng):
         # At t = 0 the essential-block Jacobian vanishes and the gradient
-        # reduces to the rotation-block rows of M v.
+        # reduces to the rotation-block rows of H phi.
         corrs = [random_correspondence(rng) for _ in range(8)]
         form = build_gec_form(corrs)
         rotation, _ = random_pose_arrays(rng)
-        v = form.stacked_variable(rotation, np.zeros(3))
-        expected = unvec(2.0 * (form.m @ v)[9:])
+        v = GEC_LIFT.phi(rotation, np.zeros(3))
+        expected = unvec(2.0 * (form.h @ v)[9:])
         np.testing.assert_allclose(form.rotation_gradient(rotation, np.zeros(3)),
                                    expected, atol=1e-12)
 
@@ -161,8 +159,8 @@ class TestGecGradients:
         corrs = [random_correspondence(rng) for _ in range(8)]
         form = build_gec_form(corrs)
         translation = rng.normal(size=3)
-        v = form.stacked_variable(np.eye(3), translation)
-        mv = form.m @ v
+        v = GEC_LIFT.phi(np.eye(3), translation)
+        mv = form.h @ v
         jac = np.hstack([skew(np.eye(3)[:, i]) for i in range(3)]
                         + [np.zeros((3, 9))])
         np.testing.assert_allclose(
@@ -182,7 +180,7 @@ class TestGecBlockQuadrics:
         # v = L_t vec(R) and vec(skew(t) R) = S_R t, the two linear maps the
         # block quadrics are built from.
         rotation, translation = random_pose_arrays(rng)
-        v = GecForm(np.zeros((18, 18))).stacked_variable(rotation, translation)
+        v = GEC_LIFT.phi(rotation, translation)
         lift = np.vstack([np.kron(np.eye(3), skew(translation)), np.eye(9)])
         np.testing.assert_allclose(lift @ vec(rotation), v, atol=1e-14)
         s_r = -np.vstack([skew(rotation[:, j]) for j in range(3)])
@@ -218,9 +216,9 @@ class TestGecQuadricsMatchKronFormula:
             form = build_gec_form(corrs)
             rotation, translation = random_pose_arrays(rng, extent=3.0)
             for got, want in ((form.rotation_quadric(translation),
-                               kron_rotation_quadric(form.m, translation)),
+                               kron_rotation_quadric(form.h, translation)),
                               (form.translation_quadric(rotation),
-                               stacked_translation_quadric(form.m, rotation))):
+                               stacked_translation_quadric(form.h, rotation))):
                 for part, reference in zip(got, want):
                     assert (np.linalg.norm(np.asarray(part) - reference)
                             <= 1e-12 * np.linalg.norm(reference))
@@ -235,20 +233,9 @@ class TestScaleBehaviour:
             truth, corrs = generate_relative_scene(
                 SceneConfig(seed=seed, rig="central"))
             form = build_gec_form(corrs)
-            v = form.stacked_variable(truth.rotation, truth.translation)
-            scale = float(np.linalg.norm(form.m)) * max(1.0, float(v @ v))
+            v = GEC_LIFT.phi(truth.rotation, truth.translation)
+            scale = float(np.linalg.norm(form.h)) * max(1.0, float(v @ v))
             for lam in (0.5, 2.0):
                 value = form.value(truth.rotation, lam * truth.translation)
                 assert value < 1e-15 * scale
 
-
-class TestGecFormValidation:
-    def test_rejects_asymmetric(self, rng):
-        m = rng.normal(size=(18, 18))
-        with pytest.raises(ValueError):
-            GecForm(m)
-
-    def test_rejects_indefinite(self):
-        m = -np.eye(18)
-        with pytest.raises(ValueError):
-            GecForm(m)
