@@ -105,7 +105,7 @@ class GecLift:
         skew(t) blocks, with no Kronecker product.
         """
         lift = np.zeros((18, 9))
-        lift.ravel()[81::10] = 1.0           # entries (9 + i, i): the I9 half
+        lift[9:] = np.eye(9)
         tt = skew(translation)
         for i in (0, 3, 6):
             lift[i:i + 3, i:i + 3] = tt
@@ -132,17 +132,6 @@ ABSOLUTE_LIFT = AbsoluteLift()
 GEC_LIFT = GecLift()
 
 
-def _finite_square(h: np.ndarray, lift) -> np.ndarray:
-    """``h`` made read-only, after checking its shape and its entries."""
-    if h.shape != (lift.size, lift.size):
-        raise ValueError(f"H must be {lift.size}x{lift.size} for this lift, "
-                         f"got shape {h.shape}")
-    if not np.isfinite(h).all():
-        raise ValueError("H must be finite")
-    h.setflags(write=False)
-    return h
-
-
 @dataclass(frozen=True, eq=False)
 class QuadricForm(PoseObjective):
     """The objective phi'H phi over a lift (``ABSOLUTE_LIFT`` or ``GEC_LIFT``).
@@ -156,23 +145,34 @@ class QuadricForm(PoseObjective):
     lift: AbsoluteLift | GecLift
 
     def __post_init__(self):
-        h = _finite_square(np.array(self.h, dtype=float), self.lift)
+        h = np.asarray(self.h, dtype=float)
+        self._store(h, self.lift)
         scale = max(1.0, float(np.linalg.norm(h)))
         if np.linalg.norm(h - h.T) > 1e-10 * scale:
             raise ValueError("H must be symmetric")
-        if float(np.linalg.eigvalsh(h).min()) < -1e-10 * scale:
+        if float(np.linalg.eigvalsh(self.h).min()) < -1e-10 * scale:
             raise ValueError("H must be positive semidefinite")
-        object.__setattr__(self, "h", _finite_square(0.5 * (h + h.T), self.lift))
+
+    def _store(self, h, lift) -> None:
+        """Check the shape and entries of ``h``, then keep its symmetric
+        part, read-only, and the lift."""
+        if h.shape != (lift.size, lift.size):
+            raise ValueError(f"H must be {lift.size}x{lift.size} for this lift, "
+                             f"got shape {h.shape}")
+        if not np.isfinite(h).all():
+            raise ValueError("H must be finite")
+        h = 0.5 * (h + h.T)
+        h.setflags(write=False)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "lift", lift)
 
     @classmethod
     def from_rows(cls, rows, lift) -> "QuadricForm":
         """The form ||A phi||^2 of residual rows A, (k, lift.size): H = A'A,
         PSD by construction, so only its shape and finiteness are checked."""
         a = np.asarray(rows, dtype=float)
-        h = a.T @ a
         form = object.__new__(cls)
-        object.__setattr__(form, "h", _finite_square(0.5 * (h + h.T), lift))
-        object.__setattr__(form, "lift", lift)
+        form._store(a.T @ a, lift)
         return form
 
     def value(self, rotation, translation) -> float:

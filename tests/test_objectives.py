@@ -127,8 +127,7 @@ class TestClosedFormTranslation:
             form = random_form(rng, lift=(ABSOLUTE_LIFT, GEC_LIFT)[trial % 2])
             r, _ = random_pose_arrays(rng)
             t_star = form.closed_form_translation(r)
-            scale = np.linalg.norm(form.h) * max(1.0, float(np.linalg.norm(t_star)))
-            assert np.linalg.norm(form.translation_gradient(r, t_star)) < 1e-9 * scale
+            assert np.linalg.norm(form.translation_gradient(r, t_star)) < 1e-9
 
     def test_singular_block_raises(self):
         form = absolute_form(tt=np.diag([1.0, 1.0, 0.0]))
