@@ -1,12 +1,32 @@
 """Alternating minimization engine: an outer loop over two block solvers.
 
-The rotation block is minimized by steepest descent on the SO(3) manifold.
-Each step rotates the iterate by an angle mu about the axis of the
-Riemannian gradient Z = grad X' - X grad'; mu is grown by doubling while
-the doubled step keeps paying off and shrunk by halving until the accepted
-step decreases the objective by at least 0.5 * mu * (0.5 tr ZZ'). Steps
-are exact rotations, so iterates cannot drift off the manifold; a
-re-projection every 50 steps absorbs accumulated rounding anyway.
+The rotation block is minimized on the SO(3) manifold by exact rotations
+x -> expm(skew(w)) x, so iterates cannot drift off the manifold; a
+re-projection every 50 steps absorbs accumulated rounding anyway. In the
+coordinates w the objective's slope is -a, with a the axis of the
+Riemannian gradient Z = grad X' - X grad' = M - M', M = grad X'.
+
+When the objective has a rotation quadric, its 3x3 Riemannian Hessian
+Hn = 2 U P U' + sym(M) - tr(M) I comes almost for free (U stacks the
+rows vec(E_i X) of the so(3) generators E_i), and each step first tries
+the Riemannian Newton step w = Hn^-1 a (Absil, Mahony and Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 2008). Hn is factored by
+an unrolled 3x3 Cholesky (as LDL', with no square roots) in Python
+floats. The step is tried once, at the angle |w| about w / |w|, and kept
+if it decreases the block objective by at least a'w / 4, half the
+decrease its quadratic model predicts. It compares no quantity with an
+absolute threshold, so scaling the objective leaves it unchanged; the
+floors on |a| (``_RATE_FLOOR``, ``_AXIS_FLOOR``) end steepest descent
+only.
+
+Otherwise (no quadric, Hn not positive definite, |w| >= pi, or the
+Newton trial rejected) the step is steepest descent as in Abrudan,
+Eriksson and Koivunen (IEEE TSP 2008): it rotates the iterate by an
+angle mu |a| about a / |a|; mu is grown by doubling while the doubled
+step keeps paying off and shrunk by halving until the accepted step
+decreases the objective by at least 0.5 * mu * (0.5 tr ZZ'). mu carries
+over between the steepest-descent steps of one block solve and starts
+at ``AmmConfig.initial_mu`` in each.
 
 The translation block is plain gradient descent with Barzilai-Borwein
 step lengths, stopping when the objective stalls or would increase.
@@ -63,6 +83,11 @@ _REPROJECT_EVERY = 50
 _INNER_CAP = 100_000     # safety net; unreachable on objectives bounded below
 _AXIS_FLOOR = 1e-14      # shorter rotation axes give no usable step direction
 _SQRT2 = math.sqrt(2.0)
+# The so(3) generators E_i = skew(e_i) stacked, (9, 3): _GENERATORS @ x
+# stacks the E_i x.
+_GENERATORS = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0],
+                        [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                        [0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -74,8 +99,11 @@ class AmmConfig:
     ``rotation_subsolve`` stops below it, and ``solve_amm`` uses it as the
     floor of its rotation tolerance schedule (see the module docstring);
     tol_translation an absolute threshold on the translation objective
-    change. use_closed_form_translation swaps the translation descent for
-    the exact quadratic minimizer on objectives that provide one.
+    change. initial_mu seeds the steepest-descent step of each rotation
+    solve; on objectives with a rotation quadric it only seeds the
+    fallback taken when no Newton step is accepted (see the module
+    docstring). use_closed_form_translation swaps the translation descent
+    for the exact quadratic minimizer on objectives that provide one.
     Tolerances and step seeds must be finite and positive, and
     max_outer_iters an integer of at least 1.
     """
@@ -139,7 +167,7 @@ def _value_lines(value):
 
 
 def _rotation_block(objective: PoseObjective, t: np.ndarray):
-    """(gradient, line) of the objective over rotations at translation t.
+    """(gradient, curvature, line) of the objective over rotations at t.
 
     ``line(x)`` starts the line searches from the iterate x and returns
     ``search(axis, gu, gw)``. With K the cross-product matrix of the unit
@@ -154,6 +182,12 @@ def _rotation_block(objective: PoseObjective, t: np.ndarray):
     whose three quadratic coefficients ``search`` computes once per line,
     so a trial costs a few float operations and builds no matrix.
     Otherwise delta = value(point) - value(x).
+
+    ``curvature(x)`` is, on a rotation quadric, the 3x3 matrix 2 U P U'
+    as nested lists, with U the 3x9 stack of the rows vec(E_i x) for the
+    generators E_i of so(3): the second derivative of the quadric term
+    along the steps x -> expm(skew(w)) x, in the coordinates w. Without a
+    quadric it is None.
     """
     quadric = getattr(objective, "rotation_quadric", None)
     if quadric is None:
@@ -174,7 +208,7 @@ def _rotation_block(objective: PoseObjective, t: np.ndarray):
             return search
 
         return (lambda x: np.asarray(objective.rotation_gradient(x, t), dtype=float),
-                line)
+                None, line)
     # Iterates are C-ordered 3x3 arrays, so the quadric is taken to their
     # row-major ravels once: vec index i + 3j becomes 3i + j.
     p, q, _ = quadric(t)
@@ -204,7 +238,11 @@ def _rotation_block(objective: PoseObjective, t: np.ndarray):
             return delta, point
         return search
 
-    return (lambda x: (np.dot(p2, x.ravel()) + q).reshape(3, 3)), line
+    def curvature(x):
+        u = np.dot(_GENERATORS, x).reshape(3, 9)
+        return np.dot(np.dot(u, p2), u.T).tolist()
+
+    return (lambda x: (np.dot(p2, x.ravel()) + q).reshape(3, 3)), curvature, line
 
 
 def _translation_block(objective: PoseObjective, r: np.ndarray):
@@ -248,6 +286,46 @@ def _sin_cos(angle: float):
     return math.sin(angle), 1.0 - math.cos(angle)
 
 
+def _bend(m, a0, a1, a2):
+    """g'w = tr(K^2 M') = a'Ma - tr(M) along w = vec(K^2 x), K = skew(a), |a| = 1."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    return (a0 * (a0 * m00 + a1 * m01 + a2 * m02)
+            + a1 * (a0 * m10 + a1 * m11 + a2 * m12)
+            + a2 * (a0 * m20 + a1 * m21 + a2 * m22)) - (m00 + m11 + m22)
+
+
+def _newton_vector(c, m, a0, a1, a2):
+    """w = Hn^-1 a for Hn = c + sym(M) - tr(M) I, or None unless Hn > 0.
+
+    Hn is factored as L D L' (Cholesky without square roots), unrolled
+    in Python floats; a pivot that is not positive means Hn is not
+    positive definite and there is no Newton step.
+    """
+    (c00, c01, c02), (_, c11, c12), (_, _, c22) = c
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    tr = m00 + m11 + m22
+    h01 = c01 + 0.5 * (m01 + m10)
+    h02 = c02 + 0.5 * (m02 + m20)
+    h12 = c12 + 0.5 * (m12 + m21)
+    d0 = c00 + m00 - tr
+    if not d0 > 0.0:
+        return None
+    l10 = h01 / d0
+    l20 = h02 / d0
+    d1 = c11 + m11 - tr - l10 * h01
+    if not d1 > 0.0:
+        return None
+    e12 = h12 - l20 * h01
+    l21 = e12 / d1
+    d2 = c22 + m22 - tr - l20 * h02 - l21 * e12
+    if not d2 > 0.0:
+        return None
+    y1 = a1 - l10 * a0
+    w2 = (a2 - l20 * a0 - l21 * y1) / d2
+    w1 = y1 / d1 - l21 * w2
+    return a0 / d0 - l10 * w1 - l20 * w2, w1, w2
+
+
 def rotation_subsolve(objective: PoseObjective, rotation_init, translation_fixed,
                       config: AmmConfig = AmmConfig()) -> np.ndarray:
     """Minimize over rotations at a fixed translation.
@@ -259,7 +337,7 @@ def rotation_subsolve(objective: PoseObjective, rotation_init, translation_fixed
     the step length underflows on a flat objective (the best iterate so
     far is returned in that case).
     """
-    gradient, line = _rotation_block(
+    gradient, curvature, line = _rotation_block(
         objective, np.asarray(translation_fixed, dtype=float))
     x = np.asarray(rotation_init, dtype=float)
     mu = config.initial_mu
@@ -273,40 +351,55 @@ def rotation_subsolve(objective: PoseObjective, rotation_init, translation_fixed
         a1 = m[2][0] - m[0][2]
         a2 = m[0][1] - m[1][0]
         rate = a0 * a0 + a1 * a1 + a2 * a2
-        if rate < _RATE_FLOOR:
-            break
         # With K the cross-product matrix of the unit axis, the step by
         # angle theta is x -> x + sin(theta) Kx + (1 - cos(theta)) K^2 x.
-        n = math.sqrt(rate)
-        if n < _AXIS_FLOOR:
-            break                             # no step direction: every trial is x
-        a0, a1, a2 = a0 / n, a1 / n, a2 / n
-        # Slopes along u = vec(Kx) and w = vec(K^2 x): g'u = tr(K M') = -n,
-        # and g'w = tr(K^2 M') = a'Ma - tr(M), since K^2 = aa' - I.
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
-        gw = (a0 * (a0 * m00 + a1 * m01 + a2 * m02)
-              + a1 * (a0 * m10 + a1 * m11 + a2 * m12)
-              + a2 * (a0 * m20 + a1 * m21 + a2 * m22)) - (m00 + m11 + m22)
-        delta, point = search((a0, a1, a2), -n, gw)
-        sp, cp = _sin_cos(mu * n)
-        dp = delta(sp, cp)
-        sq, cq = _sin_cos(2.0 * mu * n)
-        dq = delta(sq, cq)
-        while -dq >= mu * rate and mu < _MU_MAX:      # doubled step still pays off
-            sp, cp, dp = sq, cq, dq
-            mu *= 2.0
-            sq, cq = _sin_cos(2.0 * mu * n)
-            dq = delta(sq, cq)
-        collapsed = False
-        while -dp < 0.5 * mu * rate:                  # shrink to sufficient decrease
-            mu *= 0.5
-            if mu < _MU_MIN:
-                collapsed = True
+        # Newton step w = Hn^-1 a on the model f - a'w + w'Hn w / 2: one
+        # trial at theta = |w|, kept if it gains half the model's decrease
+        # a'w / 2. It compares no quantity with an absolute threshold, so
+        # scaling the objective does not change it.
+        newton = (None if curvature is None or rate == 0.0
+                  else _newton_vector(curvature(x), m, a0, a1, a2))
+        if newton is not None:
+            w0, w1, w2 = newton
+            theta = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+            if 0.0 < theta < math.pi:
+                w0, w1, w2 = w0 / theta, w1 / theta, w2 / theta
+                slope = a0 * w0 + a1 * w1 + a2 * w2
+                delta, point = search((w0, w1, w2), -slope, _bend(m, w0, w1, w2))
+                sp, cp = _sin_cos(theta)
+                if -delta(sp, cp) < 0.25 * theta * slope:
+                    newton = None
+            else:
+                newton = None
+        if newton is None:
+            if rate < _RATE_FLOOR:
                 break
+            n = math.sqrt(rate)
+            if n < _AXIS_FLOOR:
+                break                         # no step direction: every trial is x
+            # Steepest descent. Slopes along u = vec(Kx) and w = vec(K^2 x):
+            # g'u = tr(K M') = -n, and g'w = tr(K^2 M') = a'Ma - tr(M).
+            a0, a1, a2 = a0 / n, a1 / n, a2 / n
+            delta, point = search((a0, a1, a2), -n, _bend(m, a0, a1, a2))
             sp, cp = _sin_cos(mu * n)
             dp = delta(sp, cp)
-        if collapsed:
-            break
+            sq, cq = _sin_cos(2.0 * mu * n)
+            dq = delta(sq, cq)
+            while -dq >= mu * rate and mu < _MU_MAX:      # doubled step still pays off
+                sp, cp, dp = sq, cq, dq
+                mu *= 2.0
+                sq, cq = _sin_cos(2.0 * mu * n)
+                dq = delta(sq, cq)
+            collapsed = False
+            while -dp < 0.5 * mu * rate:                  # shrink to sufficient decrease
+                mu *= 0.5
+                if mu < _MU_MIN:
+                    collapsed = True
+                    break
+                sp, cp = _sin_cos(mu * n)
+                dp = delta(sp, cp)
+            if collapsed:
+                break
         x = point(sp, cp)
         if inner % _REPROJECT_EVERY == 0:
             x = project_to_so3(x)

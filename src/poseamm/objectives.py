@@ -41,8 +41,12 @@ class PoseObjective(ABC):
         3x3 matrix such that value(R, t) = t'At + b't + k at that rotation.
 
     Each block solve then builds its quadric once and evaluates trial
-    points on it, instead of calling ``value`` and the gradients. Without
-    them the solver uses ``value`` and the gradients throughout.
+    points on it, instead of calling ``value`` and the gradients. The
+    rotation quadric also gives the Riemannian Hessian over rotations, so
+    the rotation solve takes Newton steps and falls back to steepest
+    descent only where no Newton step is accepted. Without the quadrics
+    the solver uses ``value`` and the gradients throughout, and steepest
+    descent for every rotation step.
     """
 
     @abstractmethod

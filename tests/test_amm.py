@@ -1,7 +1,10 @@
 import itertools
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_rotation
 from poseamm import amm
@@ -12,10 +15,10 @@ from poseamm.bench import (RIG_CENTRAL, RIG_NON_CENTRAL, SceneConfig,
                            generate_absolute_scene, generate_relative_scene,
                            pose_errors)
 from poseamm.exceptions import NonFiniteObjective
-from poseamm.geometry import vec
+from poseamm.geometry import rodrigues_step, vec
 from poseamm.initializers import (init_absolute_linear, init_identity,
                                   init_relative_17pt)
-from poseamm.objectives import PoseObjective
+from poseamm.objectives import PoseObjective, QuadricForm
 from poseamm.relative import build_gec_form
 
 
@@ -118,6 +121,15 @@ class MisleadingQuadric(FrobeniusObjective):
     def rotation_quadric(self, translation):
         t_term = float(np.sum((np.asarray(translation) - self.t_star) ** 2))
         return np.eye(9), -2.0 * vec(self.r_decoy), 3.0 + t_term
+
+
+def _stationarity(objective, rotation, translation):
+    """Norm of the Riemannian gradient: the so(3) axis of M - M' for
+    M = grad_R R', stacked with the translation gradient."""
+    m = np.asarray(objective.rotation_gradient(rotation, translation)) @ rotation.T
+    axis = [m[1, 2] - m[2, 1], m[2, 0] - m[0, 2], m[0, 1] - m[1, 0]]
+    return float(np.linalg.norm(np.concatenate(
+        [axis, objective.translation_gradient(rotation, translation)])))
 
 
 def _criterion_4_grid():
@@ -348,20 +360,26 @@ class TestConfigFiniteness:
 
 
 class TestBlockQuadricPath:
-    def test_agrees_with_generic_path_on_criterion_4_grid(self):
-        # Final objectives are compared relative to the objective at the
-        # identity pose, the problem's own scale: zero-noise minima sit at
-        # the rounding floor, where their ratio means nothing.
+    def test_minimum_matches_tight_reference_on_criterion_4_grid(self):
+        # Newton steps make the quadric path take other steps than the
+        # generic path, so its minimum is judged against a reference solve
+        # from the same seed run to a tight outer tolerance. Objectives are
+        # compared relative to the objective at the identity pose, the
+        # problem's own scale, and the stationarity of the returned pose
+        # relative to the gradient there.
+        tight = AmmConfig(tol_outer=1e-15, max_outer_iters=2000)
         solves = 0
         for form, pose0 in _criterion_4_grid():
-            fast = solve_amm(form, pose0.translation, rotation_init=pose0.rotation)
-            generic = solve_amm(ContractOnly(form), pose0.translation,
-                                rotation_init=pose0.rotation)
+            result = solve_amm(form, pose0.translation, rotation_init=pose0.rotation)
+            reference = solve_amm(form, pose0.translation, tight,
+                                  rotation_init=pose0.rotation)
             scale = form.value(np.eye(3), np.zeros(3))
-            assert abs(fast.final_objective - generic.final_objective) <= 1e-8 * scale
-            rot_err, trans_err = pose_errors(fast.pose, generic.pose)
-            assert rot_err < 1e-6
-            assert trans_err < 1e-5
+            gap = abs(result.final_objective - reference.final_objective)
+            assert gap <= 1e-6 * scale
+            stationarity = (_stationarity(form, result.pose.rotation,
+                                          result.pose.translation)
+                            / _stationarity(form, np.eye(3), np.zeros(3)))
+            assert stationarity <= 5e-3
             solves += 1
         assert solves == 90
 
@@ -386,12 +404,12 @@ class TestBlockQuadricPath:
         block = amm._rotation_block
 
         def recording_block(objective, t):
-            gradient, line = block(objective, t)
+            gradient, curvature, line = block(objective, t)
 
             def recorded(x):
                 rotations.append(np.array(x))
                 return gradient(x)
-            return recorded, line
+            return recorded, curvature, line
 
         monkeypatch.setattr(amm, "_rotation_block", recording_block)
         for form, pose0 in _criterion_4_grid():
@@ -431,18 +449,21 @@ def _grid_solves(forcing):
     """Solve the criterion-4 grid with ``amm._FORCING`` set to ``forcing``.
 
     -> (results, rotation steps per solve, tol_rotation of every rotation
-    subsolve). A step is a gradient evaluation of the rotation block.
+    subsolve, rotation steps per subsolve). A step is a gradient
+    evaluation of the rotation block.
     """
-    steps, tols = [], []
+    steps, tols, subsolve_steps = [], [], []
     block, subsolve = amm._rotation_block, amm.rotation_subsolve
 
     def counting_block(objective, t):
-        gradient, line = block(objective, t)
+        gradient, curvature, line = block(objective, t)
+        subsolve_steps.append(0)
 
         def counted(x):
             steps[-1] += 1
+            subsolve_steps[-1] += 1
             return gradient(x)
-        return counted, line
+        return counted, curvature, line
 
     def recording_subsolve(objective, rotation_init, translation_fixed, config):
         tols.append(config.tol_rotation)
@@ -457,7 +478,7 @@ def _grid_solves(forcing):
             steps.append(0)
             results.append(solve_amm(form, pose0.translation,
                                      rotation_init=pose0.rotation))
-    return results, steps, tols
+    return results, steps, tols, subsolve_steps
 
 
 @pytest.fixture(scope="module")
@@ -474,10 +495,19 @@ class TestForcingSchedule:
               f"forced {forced} ({forced / solves:.1f} per solve), "
               f"unforced {unforced} ({unforced / solves:.1f} per solve)")
         assert solves == 90
-        assert forced <= 0.7 * unforced
+        # Newton steps converge fast even to tight tolerances, so forcing
+        # saves about an eighth of the rotation steps here.
+        assert forced <= 0.9 * unforced
+
+    def test_newton_steps_keep_subsolves_short(self, forcing_runs):
+        # Newton steps on the rotation quadric take a median of 2 (mean
+        # 2.0) gradient evaluations per rotation subsolve here; steepest
+        # descent alone takes 5 (mean 6.8).
+        per_subsolve = forcing_runs["forced"][3]
+        assert statistics.median(per_subsolve) <= 3
 
     def test_every_solve_converges(self, forcing_runs):
-        for results, _, _ in forcing_runs.values():
+        for results, _, _, _ in forcing_runs.values():
             assert all(result.converged for result in results)
 
     def test_poses_agree_with_unforced(self, forcing_runs):
@@ -514,3 +544,118 @@ class TestForcingSchedule:
         assert min(seen) == 1e-5
         assert max(seen) > 1e-5
         assert seen.count(1e-5) > 10
+
+
+# ---------------------------------------------------------------------------
+# Newton steps on the rotation quadric
+
+
+def _block_forms():
+    """(name, form, translation, block minimizer) at the true translation of
+    a noisy non-central scene, for each shipped lift."""
+    config = SceneConfig(seed=3, noise_sigma_px=2.0, rig=RIG_NON_CENTRAL)
+    truth, corrs = generate_absolute_scene(config)
+    truth_rel, rays = generate_relative_scene(config)
+    tight = AmmConfig(tol_rotation=1e-14)
+    out = []
+    for name, form, pose in (("gpnp", build_gpnp_form(corrs), truth),
+                             ("upnp", build_upnp_form(corrs), truth),
+                             ("gec", build_gec_form(rays), truth_rel)):
+        minimizer = rotation_subsolve(form, pose.rotation, pose.translation, tight)
+        out.append((name, form, pose.translation, minimizer))
+    return out
+
+
+BLOCK_FORMS = _block_forms()
+
+
+def _unit_axis(m):
+    a = np.array([m[1, 2] - m[2, 1], m[2, 0] - m[0, 2], m[0, 1] - m[1, 0]])
+    return a / np.linalg.norm(a)
+
+
+def _solve_logging_steps(objective, start, t):
+    """rotation_subsolve, logging per line search (steepest, x) where
+    ``steepest`` tells whether its axis is the unit gradient axis: a
+    steepest-descent step, where a Newton step has the axis Hn^-1 a."""
+    log = []
+    block = amm._rotation_block
+
+    def logging_block(objective, t):
+        gradient, curvature, line = block(objective, t)
+
+        def logged_line(x):
+            search = line(x)
+            axis = _unit_axis(gradient(x) @ x.T)
+
+            def logged_search(step_axis, gu, gw):
+                steepest = np.allclose(step_axis, axis, rtol=0.0, atol=1e-12)
+                log.append((steepest, np.array(x)))
+                return search(step_axis, gu, gw)
+            return logged_search
+        return gradient, curvature, logged_line
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(amm, "_rotation_block", logging_block)
+        out = rotation_subsolve(objective, start, t)
+    return out, log
+
+
+class TestNewtonSteps:
+    def test_curvature_only_on_quadrics(self):
+        _, form, t, _ = BLOCK_FORMS[0]
+        assert amm._rotation_block(form, t)[1] is not None
+        assert amm._rotation_block(ContractOnly(form), t)[1] is None
+
+    @pytest.mark.parametrize("index", range(len(BLOCK_FORMS)))
+    def test_indefinite_hessian_falls_back_without_rising(self, index):
+        # About pi away from the block minimizer the Riemannian Hessian is
+        # indefinite: no Newton step exists, steepest descent steps in,
+        # and the block objective never rises.
+        name, form, t, minimizer = BLOCK_FORMS[index]
+        p, q, k = form.rotation_quadric(t)
+
+        def block_value(x):
+            return float(vec(x) @ p @ vec(x) + q @ vec(x) + k)
+
+        gradient, curvature, _ = amm._rotation_block(form, t)
+        for axis in ([1.0, 0.3, -0.2], [0.2, -1.0, 0.5], [-0.4, 0.1, 1.0]):
+            axis = np.asarray(axis) / np.linalg.norm(axis)
+            start = minimizer @ rodrigues_step(axis, 0.97 * np.pi)
+            m = gradient(start) @ start.T
+            hessian = (np.array(curvature(start)) + 0.5 * (m + m.T)
+                       - np.trace(m) * np.eye(3))
+            if np.linalg.eigvalsh(hessian)[0] >= 0.0:
+                continue
+            out, log = _solve_logging_steps(form, start, t)
+            assert log[0][0], name                    # the first step is steepest
+            assert not all(steepest for steepest, _ in log), name
+            # The solver accepts a step on its closed-form change; evaluated
+            # directly, the quadric rounds differently near the minimum.
+            values = [block_value(x) for _, x in log] + [block_value(out)]
+            slack = 1e-12 * values[0]
+            assert all(cur <= prev + slack
+                       for prev, cur in zip(values, values[1:])), name
+            assert values[-1] < values[0]
+            break
+        else:
+            pytest.fail(f"{name}: no start with an indefinite Hessian")
+
+    @settings(max_examples=30, deadline=None)
+    @given(index=st.integers(0, len(BLOCK_FORMS) - 1), k=st.integers(-20, 20),
+           seed=st.integers(0, 2 ** 16))
+    def test_rotation_is_invariant_to_objective_scale(self, index, k, seed):
+        # Scaling the objective by c = 2^k scales the gradient, the Hessian
+        # and the change along a step alike, so Newton steps, which
+        # compare only their ratios, do not change; the steepest-descent
+        # fallback's mu schedule would.
+        name, form, t, minimizer = BLOCK_FORMS[index]
+        rng = np.random.default_rng(seed)
+        axis = rng.normal(size=3)
+        start = minimizer @ rodrigues_step(axis / np.linalg.norm(axis), 0.05)
+        scaled = QuadricForm(2.0 ** k * form.h, form.lift)
+        base, base_log = _solve_logging_steps(form, start, t)
+        out, log = _solve_logging_steps(scaled, start, t)
+        assert not any(steepest for steepest, _ in base_log), name
+        assert not any(steepest for steepest, _ in log), name
+        np.testing.assert_allclose(out, base, rtol=0.0, atol=1e-12)

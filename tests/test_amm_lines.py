@@ -66,7 +66,7 @@ def test_rotation_delta_is_the_quadric_difference(name, objective):
         x = random_rotation(rng)
         t = rng.uniform(-2.0, 2.0, size=3)
         p, q, k = objective.rotation_quadric(t)
-        gradient, line = amm._rotation_block(objective, t)
+        gradient, _, line = amm._rotation_block(objective, t)
         g = gradient(x)
         np.testing.assert_allclose(g.reshape(9, order="F"), 2.0 * p @ vec(x) + q,
                                    rtol=1e-12, atol=1e-12 * np.abs(p).max())
@@ -93,6 +93,33 @@ def test_rotation_delta_is_the_quadric_difference(name, objective):
 
 
 @pytest.mark.parametrize("name,objective", _quadric_objectives())
+def test_rotation_curvature_is_the_second_derivative(name, objective):
+    # Along x(theta) = expm(theta skew(b)) x with |b| = 1 the change is the
+    # polynomial of the line search, whose second derivative at 0 is
+    # 2 u'Pu + g'w; the Hessian the loop forms from the curvature and
+    # M = g x' must give the same.
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        x = random_rotation(rng)
+        t = rng.uniform(-2.0, 2.0, size=3)
+        p, _, _ = objective.rotation_quadric(t)
+        gradient, curvature, _ = amm._rotation_block(objective, t)
+        u = np.array([vec(skew(e) @ x) for e in np.eye(3)])
+        c = np.array(curvature(x))
+        scale = np.abs(p).max()
+        np.testing.assert_allclose(c, 2.0 * u @ p @ u.T, rtol=0, atol=1e-12 * scale)
+        g = gradient(x)
+        m = g @ x.T
+        hessian = c + 0.5 * (m + m.T) - np.trace(m) * np.eye(3)
+        for _ in range(3):
+            b = rng.normal(size=3)
+            b /= np.linalg.norm(b)
+            kx = skew(b) @ x
+            second = 2.0 * vec(kx) @ p @ vec(kx) + np.sum(g * (skew(b) @ kx))
+            assert abs(b @ hessian @ b - second) <= 1e-12 * (scale + np.abs(g).max())
+
+
+@pytest.mark.parametrize("name,objective", _quadric_objectives())
 def test_translation_step_is_the_quadric_difference(name, objective):
     rng = np.random.default_rng(23)
     for _ in range(5):
@@ -116,13 +143,14 @@ def test_translation_step_is_the_quadric_difference(name, objective):
 
 
 def test_loop_slopes_are_the_gradient_along_the_step(monkeypatch):
-    # The rotation loop derives g'u and g'w from M = g x'; they must be the
+    # The rotation loop derives g'u and g'w from M = g x', on the unit
+    # gradient axis and on the Newton axis alike; they must be the
     # Frobenius products of the gradient with Kx and K^2 x.
     block = amm._rotation_block
     checked = []
 
     def checking_block(objective, t):
-        gradient, line = block(objective, t)
+        gradient, curvature, line = block(objective, t)
 
         def checked_line(x):
             search = line(x)
@@ -133,15 +161,21 @@ def test_loop_slopes_are_the_gradient_along_the_step(monkeypatch):
                 scale = np.linalg.norm(g) * np.linalg.norm(x)
                 assert abs(gu - np.sum(g * kx)) <= 1e-12 * scale
                 assert abs(gw - np.sum(g * (skew(axis) @ kx))) <= 1e-12 * scale
-                checked.append(gu)
+                m = g @ x.T
+                steepest = np.array([m[1, 2] - m[2, 1], m[2, 0] - m[0, 2],
+                                     m[0, 1] - m[1, 0]])
+                steepest /= np.linalg.norm(steepest)
+                checked.append(np.allclose(axis, steepest, rtol=0, atol=1e-12))
                 return search(axis, gu, gw)
             return checked_search
-        return gradient, checked_line
+        return gradient, curvature, checked_line
 
     monkeypatch.setattr(amm, "_rotation_block", checking_block)
     for _, objective in _quadric_objectives()[:3]:
-        solve_amm(objective, np.zeros(3))
-    assert len(checked) > 100
+        solve_amm(objective, np.zeros(3))             # Newton axes
+        solve_amm(CallLog(objective), np.zeros(3))    # gradient axes, no quadric
+    assert checked.count(False) > 50
+    assert checked.count(True) > 100
 
 
 # ---------------------------------------------------------------------------
