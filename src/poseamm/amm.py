@@ -357,7 +357,7 @@ def rotation_subsolve(objective: PoseObjective, rotation_init, translation_fixed
         # trial at theta = |w|, kept if it gains half the model's decrease
         # a'w / 2. It compares no quantity with an absolute threshold, so
         # scaling the objective does not change it.
-        newton = (None if curvature is None or rate == 0.0
+        newton = (None if curvature is None
                   else _newton_vector(curvature(x), m, a0, a1, a2))
         if newton is not None:
             w0, w1, w2 = newton

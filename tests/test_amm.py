@@ -367,19 +367,23 @@ class TestBlockQuadricPath:
         # compared relative to the objective at the identity pose, the
         # problem's own scale, and the stationarity of the returned pose
         # relative to the gradient there.
+        # The generic path (the form behind ContractOnly) must reach the
+        # same minimum.
         tight = AmmConfig(tol_outer=1e-15, max_outer_iters=2000)
         solves = 0
         for form, pose0 in _criterion_4_grid():
-            result = solve_amm(form, pose0.translation, rotation_init=pose0.rotation)
             reference = solve_amm(form, pose0.translation, tight,
                                   rotation_init=pose0.rotation)
             scale = form.value(np.eye(3), np.zeros(3))
-            gap = abs(result.final_objective - reference.final_objective)
-            assert gap <= 1e-6 * scale
-            stationarity = (_stationarity(form, result.pose.rotation,
-                                          result.pose.translation)
-                            / _stationarity(form, np.eye(3), np.zeros(3)))
-            assert stationarity <= 5e-3
+            gradient_scale = _stationarity(form, np.eye(3), np.zeros(3))
+            for objective in (form, ContractOnly(form)):
+                result = solve_amm(objective, pose0.translation,
+                                   rotation_init=pose0.rotation)
+                gap = abs(result.final_objective - reference.final_objective)
+                assert gap <= 1e-6 * scale
+                stationarity = _stationarity(form, result.pose.rotation,
+                                             result.pose.translation)
+                assert stationarity <= 5e-3 * gradient_scale
             solves += 1
         assert solves == 90
 
@@ -445,8 +449,10 @@ class TestBlockQuadricPath:
         assert solves == 50
 
 
-def _grid_solves(forcing):
-    """Solve the criterion-4 grid with ``amm._FORCING`` set to ``forcing``.
+def _grid_solves(forcing, wrap=lambda form: form):
+    """Solve the criterion-4 grid with ``amm._FORCING`` set to ``forcing``,
+    each form passed through ``wrap`` (``ContractOnly`` for the generic
+    path).
 
     -> (results, rotation steps per solve, tol_rotation of every rotation
     subsolve, rotation steps per subsolve). A step is a gradient
@@ -476,28 +482,39 @@ def _grid_solves(forcing):
         patch.setattr(amm, "rotation_subsolve", recording_subsolve)
         for form, pose0 in _criterion_4_grid():
             steps.append(0)
-            results.append(solve_amm(form, pose0.translation,
+            results.append(solve_amm(wrap(form), pose0.translation,
                                      rotation_init=pose0.rotation))
     return results, steps, tols, subsolve_steps
 
 
 @pytest.fixture(scope="module")
 def forcing_runs():
-    return {"forced": _grid_solves(amm._FORCING), "unforced": _grid_solves(0.0)}
+    return {"forced": _grid_solves(amm._FORCING), "unforced": _grid_solves(0.0),
+            "generic forced": _grid_solves(amm._FORCING, ContractOnly),
+            "generic unforced": _grid_solves(0.0, ContractOnly)}
+
+
+def _forcing_step_ratio(forcing_runs, path):
+    forced = sum(forcing_runs[path + "forced"][1])
+    unforced = sum(forcing_runs[path + "unforced"][1])
+    solves = len(forcing_runs[path + "forced"][1])
+    print(f"\n{path}rotation steps on the criterion-4 grid ({solves} solves): "
+          f"forced {forced} ({forced / solves:.1f} per solve), "
+          f"unforced {unforced} ({unforced / solves:.1f} per solve)")
+    assert solves == 90
+    return forced / unforced
 
 
 class TestForcingSchedule:
     def test_forcing_saves_rotation_steps(self, forcing_runs):
-        forced = sum(forcing_runs["forced"][1])
-        unforced = sum(forcing_runs["unforced"][1])
-        solves = len(forcing_runs["forced"][1])
-        print(f"\nrotation steps on the criterion-4 grid ({solves} solves): "
-              f"forced {forced} ({forced / solves:.1f} per solve), "
-              f"unforced {unforced} ({unforced / solves:.1f} per solve)")
-        assert solves == 90
+        # Steepest descent, the generic path.
+        assert _forcing_step_ratio(forcing_runs, "generic ") <= 0.7
+
+    def test_forcing_saves_newton_steps(self, forcing_runs):
         # Newton steps converge fast even to tight tolerances, so forcing
-        # saves about an eighth of the rotation steps here.
-        assert forced <= 0.9 * unforced
+        # saves only about an eighth of the rotation steps of the quadric
+        # path.
+        assert _forcing_step_ratio(forcing_runs, "") <= 0.9
 
     def test_newton_steps_keep_subsolves_short(self, forcing_runs):
         # Newton steps on the rotation quadric take a median of 2 (mean

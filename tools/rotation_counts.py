@@ -38,16 +38,11 @@ NOISE_LEVELS = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 
 
 def counting_block(block, subsolves):
-    """Wrap ``_rotation_block`` to append, per block, its trials per step.
-
-    The block's first part is the gradient and its last the line
-    function, whatever it returns in between.
-    """
+    """Wrap ``_rotation_block`` to append, per block, its trials per step."""
     def wrapped(objective, t):
-        parts = block(objective, t)
+        gradient, curvature, line = block(objective, t)
         steps = []
         subsolves.append(steps)
-        gradient, line = parts[0], parts[-1]
 
         def counted_gradient(x):
             steps.append(0)
@@ -64,7 +59,7 @@ def counting_block(block, subsolves):
                     return delta(s, c)
                 return counted_delta, point
             return counted_search
-        return (counted_gradient, *parts[1:-1], counted_line)
+        return counted_gradient, curvature, counted_line
     return wrapped
 
 
