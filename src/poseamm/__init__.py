@@ -1,11 +1,13 @@
 """Absolute and relative camera pose by alternating minimization.
 
-The solver alternates a rotation step on SO(3) with a Barzilai-Borwein
-translation step, and only needs an objective value plus its two
-Euclidean gradients; objectives that also provide their block quadrics
-(see ``PoseObjective``) are solved on those, with Riemannian Newton steps
-for the rotation, and the others by steepest descent. Three objectives,
-each an ``objectives.QuadricForm``, ship with the package:
+The solver alternates a rotation solve on SO(3) with a translation
+solve, and only needs an objective value plus its two Euclidean
+gradients. Objectives that also provide their block quadrics (see
+``PoseObjective``) are solved on those: Riemannian Newton steps for the
+rotation and the exact minimizer of the translation quadric. The others
+take steepest-descent rotation steps and Barzilai-Borwein translation
+steps. Three objectives, each an ``objectives.QuadricForm``, ship with
+the package:
 
   * build_gec_form - relative pose of generalized (central or non-central)
     cameras from ray-to-ray correspondences;

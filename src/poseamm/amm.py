@@ -11,13 +11,12 @@ Hn = 2 U P U' + sym(M) - tr(M) I comes almost for free (U stacks the
 rows vec(E_i X) of the so(3) generators E_i), and each step first tries
 the Riemannian Newton step w = Hn^-1 a (Absil, Mahony and Sepulchre,
 Optimization Algorithms on Matrix Manifolds, 2008). Hn is factored by
-an unrolled 3x3 Cholesky (as LDL', with no square roots) in Python
-floats. The step is tried once, at the angle |w| about w / |w|, and kept
-if it decreases the block objective by at least a'w / 4, half the
-decrease its quadratic model predicts. It compares no quantity with an
-absolute threshold, so scaling the objective leaves it unchanged; the
-floors on |a| (``_RATE_FLOOR``, ``_AXIS_FLOOR``) end steepest descent
-only.
+the unrolled 3x3 L D L' of ``geometry.solve_symmetric_3x3``. The step
+is tried once, at the angle |w| about w / |w|, and kept if it decreases
+the block objective by at least a'w / 4, half the decrease its quadratic
+model predicts. It compares no quantity with an absolute threshold, so
+scaling the objective leaves it unchanged; the floors on |a|
+(``_RATE_FLOOR``, ``_AXIS_FLOOR``) end steepest descent only.
 
 Otherwise (no quadric, Hn not positive definite, |w| >= pi, or the
 Newton trial rejected) the step is steepest descent as in Abrudan,
@@ -28,27 +27,34 @@ decreases the objective by at least 0.5 * mu * (0.5 tr ZZ'). mu carries
 over between the steepest-descent steps of one block solve and starts
 at ``AmmConfig.initial_mu`` in each.
 
-The translation block is plain gradient descent with Barzilai-Borwein
-step lengths, stopping when the objective stalls or would increase.
+When the objective provides ``translation_quadric`` (see
+``PoseObjective``), the translation block is solved exactly: its
+minimizer is the solution of 2At = -b (the linear elimination of t in
+UPnP; Kneip, Li and Seo, ECCV 2014), found by the same 3x3 L D L' as the
+Newton step (``objectives.translation_minimizer``). A block that is not
+positive definite relative to its own scale has no unique minimizer and
+raises SingularTranslationSystem. Otherwise the translation block is
+gradient descent with Barzilai-Borwein step lengths, stopping when the
+objective stalls or would increase.
 
-Each block solve holds the other block fixed for its whole run, so it
-works on a gradient and a line function of its own block only: the line
+The rotation solve holds the translation fixed for its whole run, so it
+works on a gradient and a line function of the rotation only: the line
 function gives the change of the objective along a step, which the
 accept tests compare directly. When the objective provides
-``rotation_quadric`` / ``translation_quadric`` (see ``PoseObjective``),
-that fixed-size quadric is built once per block solve and the change
-along a step has a closed form: a trigonometric polynomial in the angle
-whose five coefficients come once per rotation step, and a quadratic in
-the step length for the translation. Trials then cost a few float
+``rotation_quadric``, that 9x9 quadric is built once per rotation solve
+and the change along a step is a trigonometric polynomial in the angle
+whose five coefficients come once per step. Trials then cost a few float
 operations, and only the accepted rotation is built as a matrix.
 Otherwise the change is a difference of the objective's ``value`` calls,
 made exactly as often and in the same order as a loop that tracks values
 would make them.
 
-Both solvers only ever accept steps that decrease their block objective.
-Block quadrics and the full objective round differently, so the outer
-loop re-evaluates the full objective and accepts an outer iterate only if
-that value did not rise; the outer objective trace is nonincreasing.
+The block solves do not raise their block objective: the descents accept
+only decreasing steps, and the exact translation solve returns the
+block's minimizer. Block quadrics and the full objective round
+differently, so the outer loop re-evaluates the full objective and
+accepts an outer iterate only if that value did not rise; the outer
+objective trace is nonincreasing.
 
 The rotation block is solved inexactly while the alternation still moves
 (a forcing schedule, as in inexact block-coordinate descent): outer
@@ -71,8 +77,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import NonFiniteObjective
-from .geometry import Pose, project_to_so3
-from .objectives import PoseObjective
+from .geometry import Pose, project_to_so3, solve_symmetric_3x3
+from .objectives import PoseObjective, translation_minimizer
 
 _MU_MAX = 1e6            # cap for the doubling schedule on pathological objectives
 _MU_MIN = 1e-16          # below this the step has collapsed; keep the current iterate
@@ -97,15 +103,15 @@ class AmmConfig:
     tol_outer stops the outer loop on the absolute objective change;
     tol_rotation is a Frobenius threshold on the rotation step:
     ``rotation_subsolve`` stops below it, and ``solve_amm`` uses it as the
-    floor of its rotation tolerance schedule (see the module docstring);
-    tol_translation an absolute threshold on the translation objective
-    change. initial_mu seeds the steepest-descent step of each rotation
-    solve; on objectives with a rotation quadric it only seeds the
-    fallback taken when no Newton step is accepted (see the module
-    docstring). use_closed_form_translation swaps the translation descent
-    for the exact quadratic minimizer on objectives that provide one.
-    Tolerances and step seeds must be finite and positive, and
-    max_outer_iters an integer of at least 1.
+    floor of its rotation tolerance schedule (see the module docstring).
+    initial_mu seeds the steepest-descent step of each rotation solve; on
+    objectives with a rotation quadric it only seeds the fallback taken
+    when no Newton step is accepted (see the module docstring).
+    tol_translation, an absolute threshold on the translation objective
+    change, and initial_alpha, the first descent step length, act only on
+    objectives without a translation quadric, whose translation block is
+    solved by descent. Tolerances and step seeds must be finite and
+    positive, and max_outer_iters an integer of at least 1.
     """
 
     tol_outer: float = 1e-9
@@ -114,7 +120,6 @@ class AmmConfig:
     tol_translation: float = 1e-10
     initial_mu: float = 1.0
     initial_alpha: float = 1e-3
-    use_closed_form_translation: bool = False
 
     def __post_init__(self):
         for name in ("tol_outer", "tol_rotation", "tol_translation",
@@ -245,42 +250,6 @@ def _rotation_block(objective: PoseObjective, t: np.ndarray):
     return (lambda x: (np.dot(p2, x.ravel()) + q).reshape(3, 3)), curvature, line
 
 
-def _translation_block(objective: PoseObjective, r: np.ndarray):
-    """(gradient, line) of the objective over translations at rotation r.
-
-    ``line(x)`` starts the descent steps from x and returns
-    ``step(g, alpha)``, which for the gradient g at x gives the change of
-    the objective from x to x - alpha g and the gradient there. On a
-    translation quadric (A, b, k) these are alpha (alpha g'Ag - g'g) and
-    g - 2 alpha Ag; otherwise value(new) - value(x) and the objective's
-    translation gradient.
-    """
-    quadric = getattr(objective, "translation_quadric", None)
-    if quadric is None:
-        start = _value_lines(lambda x: float(objective.value(r, x)))
-
-        def line(x):
-            fx, f = start(x)
-
-            def step(g, alpha):
-                new = x - alpha * g
-                return (f(new) - fx,
-                        np.asarray(objective.translation_gradient(r, new), dtype=float))
-            return step
-
-        return (lambda x: np.asarray(objective.translation_gradient(r, x), dtype=float),
-                line)
-    a, b, _ = quadric(r)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-
-    def step(g, alpha):
-        ag = a @ g
-        return alpha * (alpha * float(g @ ag) - float(g @ g)), g - (2.0 * alpha) * ag
-
-    return (lambda x: 2.0 * (a @ x) + b), lambda x: step
-
-
 def _sin_cos(angle: float):
     """(sin, 1 - cos) of a rotation angle: the Rodrigues coefficients."""
     return math.sin(angle), 1.0 - math.cos(angle)
@@ -295,35 +264,15 @@ def _bend(m, a0, a1, a2):
 
 
 def _newton_vector(c, m, a0, a1, a2):
-    """w = Hn^-1 a for Hn = c + sym(M) - tr(M) I, or None unless Hn > 0.
-
-    Hn is factored as L D L' (Cholesky without square roots), unrolled
-    in Python floats; a pivot that is not positive means Hn is not
-    positive definite and there is no Newton step.
-    """
+    """w = Hn^-1 a for Hn = c + sym(M) - tr(M) I, or None unless Hn > 0:
+    a pivot of its L D L' that is not positive means there is no Newton
+    step."""
     (c00, c01, c02), (_, c11, c12), (_, _, c22) = c
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
     tr = m00 + m11 + m22
-    h01 = c01 + 0.5 * (m01 + m10)
-    h02 = c02 + 0.5 * (m02 + m20)
-    h12 = c12 + 0.5 * (m12 + m21)
-    d0 = c00 + m00 - tr
-    if not d0 > 0.0:
-        return None
-    l10 = h01 / d0
-    l20 = h02 / d0
-    d1 = c11 + m11 - tr - l10 * h01
-    if not d1 > 0.0:
-        return None
-    e12 = h12 - l20 * h01
-    l21 = e12 / d1
-    d2 = c22 + m22 - tr - l20 * h02 - l21 * e12
-    if not d2 > 0.0:
-        return None
-    y1 = a1 - l10 * a0
-    w2 = (a2 - l20 * a0 - l21 * y1) / d2
-    w1 = y1 / d1 - l21 * w2
-    return a0 / d0 - l10 * w1 - l20 * w2, w1, w2
+    return solve_symmetric_3x3(c00 + m00 - tr, c01 + 0.5 * (m01 + m10),
+                               c02 + 0.5 * (m02 + m20), c11 + m11 - tr,
+                               c12 + 0.5 * (m12 + m21), c22 + m22 - tr, a0, a1, a2)
 
 
 def rotation_subsolve(objective: PoseObjective, rotation_init, translation_fixed,
@@ -414,21 +363,32 @@ def translation_subsolve(objective: PoseObjective, translation_init, rotation_fi
                          config: AmmConfig = AmmConfig()) -> np.ndarray:
     """Minimize over the translation at a fixed rotation.
 
-    Barzilai-Borwein gradient descent seeded with ``config.initial_alpha``.
-    Returns the last iterate that decreased the objective (on the
-    translation quadric, when the objective has one); a step that would
-    increase it ends the descent, and a vanishing gradient change is
-    treated as convergence.
+    On a translation quadric (A, b, k) this returns its exact minimizer,
+    the solution of 2At = -b, whatever ``translation_init`` is, and calls
+    neither ``value`` nor the gradients; it raises
+    SingularTranslationSystem when A is not positive definite relative to
+    its own scale (``objectives.translation_minimizer``).
+
+    Otherwise it runs Barzilai-Borwein gradient descent seeded with
+    ``config.initial_alpha`` and returns the last iterate that decreased
+    the objective: a step that would increase it ends the descent, a
+    decrease below ``config.tol_translation`` or a vanishing gradient
+    change is treated as convergence.
     """
-    gradient, line = _translation_block(
-        objective, np.asarray(rotation_fixed, dtype=float))
+    r = np.asarray(rotation_fixed, dtype=float)
+    quadric = getattr(objective, "translation_quadric", None)
+    if quadric is not None:
+        a, b, _ = quadric(r)
+        return translation_minimizer(a, b)
     x = np.asarray(translation_init, dtype=float)
     alpha = config.initial_alpha
-    step = line(x)
-    g = gradient(x)
+    fx = float(objective.value(r, x))
+    g = np.asarray(objective.translation_gradient(r, x), dtype=float)
     for _ in range(_INNER_CAP):
-        dh, g_new = step(g, alpha)
         x_new = x - alpha * g
+        f_new = float(objective.value(r, x_new))
+        dh = f_new - fx
+        g_new = np.asarray(objective.translation_gradient(r, x_new), dtype=float)
         dg = g_new - g
         dg_norm = math.sqrt(float(dg @ dg))
         if dg_norm < _GRAD_DELTA_FLOOR:
@@ -439,8 +399,7 @@ def translation_subsolve(objective: PoseObjective, translation_init, rotation_fi
         alpha = float((x_new - x) @ dg) / (dg_norm * dg_norm)
         if dh > 0.0:
             return x
-        x, g = x_new, g_new
-        step = line(x)
+        x, g, fx = x_new, g_new, f_new
         if -dh < config.tol_translation:
             return x
     return x
@@ -458,29 +417,24 @@ def solve_amm(objective: PoseObjective, translation_init,
     less than ``config.tol_outer`` between outer iterations (converged),
     when an outer iteration would raise the objective (converged; the
     previous iterate is kept), or at the iteration cap (not converged). The final
-    objective is evaluated at the returned pose. Raises NonFiniteObjective
-    if any evaluation returns NaN or infinity.
+    objective is evaluated at the returned pose. Each translation solve is
+    ``translation_subsolve``: exact on a translation quadric, where a
+    singular block raises SingularTranslationSystem, and a descent from
+    the previous translation otherwise. Raises NonFiniteObjective if any
+    evaluation returns NaN or infinity.
     """
     t = np.asarray(translation_init, dtype=float)
     r = np.eye(3) if rotation_init is None else np.asarray(rotation_init, dtype=float)
     f_prev = float(objective.value(r, t))
     if not np.isfinite(f_prev):
         raise NonFiniteObjective("objective is not finite at the initial guess")
-    use_closed = config.use_closed_form_translation and hasattr(
-        objective, "closed_form_translation")
     trace = []
     converged = False
     outer = 0
     inner_config = config
     for outer in range(1, config.max_outer_iters + 1):
         r_new = rotation_subsolve(objective, r, t, inner_config)
-        t_new = t
-        if use_closed:
-            t_exact = objective.closed_form_translation(r_new)
-            if objective.value(r_new, t_exact) <= objective.value(r_new, t):
-                t_new = t_exact
-        else:
-            t_new = translation_subsolve(objective, t, r_new, config)
+        t_new = translation_subsolve(objective, t, r_new, config)
         f = float(objective.value(r_new, t_new))
         if not np.isfinite(f):
             raise NonFiniteObjective("objective became non-finite during the solve")

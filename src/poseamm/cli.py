@@ -72,8 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="outer objective-change tolerance")
     bench_p.add_argument("--max-iters", type=int, default=None,
                          help="outer iteration cap")
-    bench_p.add_argument("--closed-form-t", action="store_true",
-                         help="use the exact translation minimizer")
     bench_p.add_argument("--summary", action="store_true",
                          help="append per-level mean rows (trial column = -1)")
     bench_p.add_argument("--time", action="store_true",
@@ -89,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="translation guess; skips the linear initializer")
     solve_p.add_argument("--tol", type=float, default=None)
     solve_p.add_argument("--max-iters", type=int, default=None)
-    solve_p.add_argument("--closed-form-t", action="store_true")
     return parser
 
 
@@ -100,8 +97,6 @@ def _amm_config(args) -> AmmConfig:
         updates["tol_outer"] = args.tol
     if args.max_iters is not None:
         updates["max_outer_iters"] = args.max_iters
-    if args.closed_form_t:
-        updates["use_closed_form_translation"] = True
     return replace(config, **updates) if updates else config
 
 

@@ -81,6 +81,32 @@ def unvec(r) -> np.ndarray:
     return np.asarray(r, dtype=float).reshape((3, 3), order="F")
 
 
+def solve_symmetric_3x3(h00, h01, h02, h11, h12, h22, v0, v1, v2, floor=0.0):
+    """(x0, x1, x2) with Hx = v for the symmetric H of the six upper
+    entries given, or None unless every pivot of H exceeds ``floor``.
+
+    H is factored as L D L' (Cholesky without square roots), unrolled in
+    Python floats; the pivots are the diagonal of D, so with ``floor`` 0
+    None means H is not positive definite.
+    """
+    if not h00 > floor:
+        return None
+    l10 = h01 / h00
+    l20 = h02 / h00
+    d1 = h11 - l10 * h01
+    if not d1 > floor:
+        return None
+    e12 = h12 - l20 * h01
+    l21 = e12 / d1
+    d2 = h22 - l20 * h02 - l21 * e12
+    if not d2 > floor:
+        return None
+    y1 = v1 - l10 * v0
+    x2 = (v2 - l20 * v0 - l21 * y1) / d2
+    x1 = y1 / d1 - l21 * x2
+    return v0 / h00 - l10 * x1 - l20 * x2, x1, x2
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 

@@ -9,8 +9,9 @@ phi is linear in r = vec(R) at a fixed t and affine in t at a fixed R, so
 fixing either block leaves a quadric in the other. A lift supplies phi and
 these two restrictions of H (``rotation_quadric``, ``translation_quadric``),
 and the form takes both gradients and the exact translation minimizer
-from them. The two lifts are the vec(R) lift of UPnP (Kneip, Li and Seo,
-ECCV 2014) and the generalized epipolar constraint (Pless, CVPR 2003).
+(``translation_minimizer``) from them. The two lifts are the vec(R) lift
+of UPnP (Kneip, Li and Seo, ECCV 2014) and the generalized epipolar
+constraint (Pless, CVPR 2003).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SingularTranslationSystem
-from .geometry import skew, unvec, vec
+from .geometry import skew, solve_symmetric_3x3, unvec, vec
 
 
 class PoseObjective(ABC):
@@ -29,7 +30,8 @@ class PoseObjective(ABC):
 
     Implementations must be pure: ``value`` and both gradients may be
     called concurrently and must not mutate shared state. Values are sums
-    of squared residuals, hence nonnegative.
+    of squared residuals, hence nonnegative up to rounding (a PSD quadric
+    evaluated near its minimum may round a little below zero).
 
     Objectives that are quadratic in each block may also provide two
     optional methods, which the solver looks up by name:
@@ -40,13 +42,17 @@ class PoseObjective(ABC):
       * ``translation_quadric(rotation) -> (A, b, k)`` with A a symmetric
         3x3 matrix such that value(R, t) = t'At + b't + k at that rotation.
 
-    Each block solve then builds its quadric once and evaluates trial
-    points on it, instead of calling ``value`` and the gradients. The
-    rotation quadric also gives the Riemannian Hessian over rotations, so
-    the rotation solve takes Newton steps and falls back to steepest
+    Each block solve then builds its quadric once instead of calling
+    ``value`` and the gradients. A translation quadric means an exact
+    translation block: the solver returns its minimizer, the solution of
+    2At = -b (``translation_minimizer``), which requires A positive
+    definite. The rotation solve evaluates its trial points on the
+    rotation quadric, which also gives the Riemannian Hessian over
+    rotations, so it takes Newton steps and falls back to steepest
     descent only where no Newton step is accepted. Without the quadrics
-    the solver uses ``value`` and the gradients throughout, and steepest
-    descent for every rotation step.
+    the solver uses ``value`` and the gradients throughout: gradient
+    descent for the translation and steepest descent for every rotation
+    step.
     """
 
     @abstractmethod
@@ -200,11 +206,24 @@ class QuadricForm(PoseObjective):
         return 2.0 * (a @ np.asarray(translation, dtype=float)) + b
 
     def closed_form_translation(self, rotation) -> np.ndarray:
-        """Exact minimizer over t at fixed rotation: 2A t = -b on the
-        translation quadric; SingularTranslationSystem if A's smallest
-        singular value is at most 1e-12."""
+        """Exact minimizer over t at fixed rotation (``translation_minimizer``
+        of the translation quadric)."""
         a, b, _ = self.translation_quadric(rotation)
-        if np.linalg.svd(a, compute_uv=False)[-1] <= 1e-12:
-            raise SingularTranslationSystem(
-                "translation block is singular; no unique minimizer")
-        return np.linalg.solve(2.0 * a, -b)
+        return translation_minimizer(a, b)
+
+
+def translation_minimizer(a, b) -> np.ndarray:
+    """The t minimizing t'At + b't, the solution of 2At = -b.
+
+    Raises SingularTranslationSystem unless the symmetric 3x3 A is positive
+    definite relative to its own scale: every pivot of its L D L'
+    factorization (``geometry.solve_symmetric_3x3``) must exceed 1e-12 |tr A|.
+    """
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    x = solve_symmetric_3x3(a00, a01, a02, a11, a12, a22, b0, b1, b2,
+                            1e-12 * abs(a00 + a11 + a22))
+    if x is None:
+        raise SingularTranslationSystem(
+            "translation block is singular; no unique minimizer")
+    return -0.5 * np.array(x)

@@ -14,11 +14,11 @@ from poseamm.amm import (AmmConfig, rotation_subsolve, solve_amm,
 from poseamm.bench import (RIG_CENTRAL, RIG_NON_CENTRAL, SceneConfig,
                            generate_absolute_scene, generate_relative_scene,
                            pose_errors)
-from poseamm.exceptions import NonFiniteObjective
+from poseamm.exceptions import NonFiniteObjective, SingularTranslationSystem
 from poseamm.geometry import rodrigues_step, vec
 from poseamm.initializers import (init_absolute_linear, init_identity,
                                   init_relative_17pt)
-from poseamm.objectives import PoseObjective, QuadricForm
+from poseamm.objectives import ABSOLUTE_LIFT, GEC_LIFT, PoseObjective, QuadricForm
 from poseamm.relative import build_gec_form
 
 
@@ -198,6 +198,7 @@ class TestTranslationSubsolve:
         assert np.linalg.norm(out - t_star) < 1e-8
 
     def test_agrees_with_closed_form(self, rng):
+        # The descent, on the generic path, against the exact minimizer.
         # Tight stall tolerance so the comparison measures the algorithms,
         # not the stopping rule.
         config = AmmConfig(tol_translation=1e-13)
@@ -205,9 +206,43 @@ class TestTranslationSubsolve:
             _, corrs = generate_absolute_scene(SceneConfig(seed=seed))
             form = build_gpnp_form(corrs) if seed % 2 == 0 else build_upnp_form(corrs)
             rotation = random_rotation(rng)
-            descent = translation_subsolve(form, np.zeros(3), rotation, config)
+            descent = translation_subsolve(ContractOnly(form), np.zeros(3), rotation,
+                                           config)
             exact = form.closed_form_translation(rotation)
             assert np.linalg.norm(descent - exact) < 1e-6
+
+    def test_exact_on_translation_quadric(self, rng):
+        # From any start the block's stationarity 2At + b vanishes to
+        # rounding, and no contract method is called.
+        forms = []
+        for trial in range(40):
+            lift = (ABSOLUTE_LIFT, GEC_LIFT)[trial % 2]
+            rows = rng.normal(size=(lift.size + 7, lift.size))
+            forms.append(QuadricForm(10.0 ** rng.uniform(-3, 3) * (rows.T @ rows), lift))
+        for seed in range(4):
+            config = SceneConfig(seed=seed, noise_sigma_px=4.0, rig=RIG_NON_CENTRAL)
+            _, corrs = generate_absolute_scene(config)
+            _, rays = generate_relative_scene(config)
+            forms += [build_gpnp_form(corrs), build_upnp_form(corrs), build_gec_form(rays)]
+        for form in map(CallCounter, forms):
+            rotation = random_rotation(rng)
+            a, b, _ = form.translation_quadric(rotation)
+            for start in (np.zeros(3), rng.normal(size=3) * 1e3):
+                t = translation_subsolve(form, start, rotation)
+                scale = np.abs(a).sum() * np.abs(t).max() + np.abs(b).max()
+                assert np.linalg.norm(2.0 * (a @ t) + b) <= 1e-12 * scale
+            assert form.calls == {"value": 0, "rotation_gradient": 0,
+                                  "translation_gradient": 0}
+
+    def test_singular_block_raises(self):
+        # One correspondence's point-to-ray block: no depth along the ray.
+        h = np.zeros((13, 13))
+        h[9:12, 9:12] = np.diag([1.0, 1.0, 0.0])
+        form = QuadricForm(h, ABSOLUTE_LIFT)
+        with pytest.raises(SingularTranslationSystem):
+            translation_subsolve(form, np.zeros(3), np.eye(3))
+        with pytest.raises(SingularTranslationSystem):
+            solve_amm(form, np.zeros(3))
 
 
 class TestSolveAmm:
@@ -270,44 +305,6 @@ class TestSolveAmm:
         np.testing.assert_array_equal(first.pose.translation,
                                       second.pose.translation)
 
-    def test_closed_form_translation_path(self):
-        truth, corrs = generate_absolute_scene(SceneConfig(seed=6, noise_sigma_px=2.0))
-        form = build_gpnp_form(corrs)
-        default = solve_amm(form, np.zeros(3))
-        closed = solve_amm(form, np.zeros(3),
-                           AmmConfig(use_closed_form_translation=True))
-        assert np.linalg.norm(default.pose.translation
-                              - closed.pose.translation) < 1e-5
-        assert closed.final_objective <= default.final_objective + 1e-10
-
-    def test_closed_form_translation_path_gec(self):
-        # The GEC form has the exact minimizer too: from the 17-point seed
-        # the flag never ends above the descent path, and both land close.
-        # Descent stops short of the exact minimizer, so the flag ends lower
-        # (on all 30 scenes when this was written).
-        config = AmmConfig(use_closed_form_translation=True)
-        lower = 0
-        for seed in range(30):
-            _, corrs = generate_relative_scene(SceneConfig(seed=seed, noise_sigma_px=2.0))
-            form = build_gec_form(corrs)
-            seed_pose = init_relative_17pt(corrs)
-            default = solve_amm(form, seed_pose.translation,
-                                rotation_init=seed_pose.rotation)
-            closed = solve_amm(form, seed_pose.translation, config,
-                               rotation_init=seed_pose.rotation)
-            assert closed.converged
-            assert closed.final_objective <= default.final_objective
-            assert np.linalg.norm(default.pose.translation
-                                  - closed.pose.translation) < 1e-2
-            lower += closed.final_objective < default.final_objective
-        assert lower >= 25
-
-    def test_closed_form_flag_ignored_without_method(self):
-        # Objectives without a closed-form minimizer fall back to descent.
-        result = solve_amm(ConstantObjective(), np.zeros(3),
-                           AmmConfig(use_closed_form_translation=True))
-        assert result.converged
-
     def test_iteration_cap_reports_not_converged(self, rng):
         r_star = random_rotation(rng)
         objective = FrobeniusObjective(r_star, rng.normal(size=3))
@@ -361,22 +358,22 @@ class TestConfigFiniteness:
 
 class TestBlockQuadricPath:
     def test_minimum_matches_tight_reference_on_criterion_4_grid(self):
-        # Newton steps make the quadric path take other steps than the
-        # generic path, so its minimum is judged against a reference solve
-        # from the same seed run to a tight outer tolerance. Objectives are
-        # compared relative to the objective at the identity pose, the
-        # problem's own scale, and the stationarity of the returned pose
-        # relative to the gradient there.
-        # The generic path (the form behind ContractOnly) must reach the
-        # same minimum.
+        # The quadric path (Newton rotation steps, exact translation block)
+        # and the generic path (the form behind ContractOnly: steepest
+        # descent and translation descent) take different steps, so each
+        # path's minimum is judged against a reference solve on the same
+        # path from the same seed, run to a tight outer tolerance.
+        # Objectives are compared relative to the objective at the identity
+        # pose, the problem's own scale, and the stationarity of the
+        # returned pose relative to the gradient there.
         tight = AmmConfig(tol_outer=1e-15, max_outer_iters=2000)
         solves = 0
         for form, pose0 in _criterion_4_grid():
-            reference = solve_amm(form, pose0.translation, tight,
-                                  rotation_init=pose0.rotation)
             scale = form.value(np.eye(3), np.zeros(3))
             gradient_scale = _stationarity(form, np.eye(3), np.zeros(3))
             for objective in (form, ContractOnly(form)):
+                reference = solve_amm(objective, pose0.translation, tight,
+                                      rotation_init=pose0.rotation)
                 result = solve_amm(objective, pose0.translation,
                                    rotation_init=pose0.rotation)
                 gap = abs(result.final_objective - reference.final_objective)
@@ -512,13 +509,15 @@ class TestForcingSchedule:
 
     def test_forcing_saves_newton_steps(self, forcing_runs):
         # Newton steps converge fast even to tight tolerances, so forcing
-        # saves only about an eighth of the rotation steps of the quadric
-        # path.
-        assert _forcing_step_ratio(forcing_runs, "") <= 0.9
+        # saves only about a twelfth of the rotation steps of the quadric
+        # path here (14.7 -> 13.4 per solve, ratio 0.92), and on the
+        # acceptance protocol 8% of them on linear seeds and 19% on
+        # identity seeds, with no measurable change in trials per second.
+        assert _forcing_step_ratio(forcing_runs, "") <= 0.95
 
     def test_newton_steps_keep_subsolves_short(self, forcing_runs):
         # Newton steps on the rotation quadric take a median of 2 (mean
-        # 2.0) gradient evaluations per rotation subsolve here; steepest
+        # 2.1) gradient evaluations per rotation subsolve here; steepest
         # descent alone takes 5 (mean 6.8).
         per_subsolve = forcing_runs["forced"][3]
         assert statistics.median(per_subsolve) <= 3

@@ -1,7 +1,7 @@
-"""The block line functions of the alternating solver.
+"""The rotation line functions of the alternating solver.
 
-On block quadrics the change of the objective along a step has a closed
-form; it must agree with the difference of two direct quadric
+On rotation quadrics the change of the objective along a step has a
+closed form; it must agree with the difference of two direct quadric
 evaluations. Objectives without quadrics must be solved exactly as the
 loops that compared objective values did: the same iterates, bit for bit,
 and the same contract calls in the same order.
@@ -28,20 +28,15 @@ ANGLES = [2.0 ** e for e in range(-50, 12, 3)]
 
 
 class RandomQuadrics:
-    """Random PSD block quadrics, the only attributes the block solves read."""
+    """A random PSD rotation quadric, the only attribute the rotation block
+    reads."""
 
     def __init__(self, rng, scale):
-        def psd(k):
-            a = rng.normal(size=(k + 2, k)) * scale
-            return a.T @ a
-        self.p, self.q, self.k = psd(9), rng.normal(size=9) * scale, float(scale)
-        self.a, self.b, self.c = psd(3), rng.normal(size=3) * scale, float(scale)
+        a = rng.normal(size=(11, 9)) * scale
+        self.p, self.q, self.k = a.T @ a, rng.normal(size=9) * scale, float(scale)
 
     def rotation_quadric(self, translation):
         return self.p, self.q, self.k
-
-    def translation_quadric(self, rotation):
-        return self.a, self.b, self.c
 
 
 def _quadric_objectives():
@@ -117,29 +112,6 @@ def test_rotation_curvature_is_the_second_derivative(name, objective):
             kx = skew(b) @ x
             second = 2.0 * vec(kx) @ p @ vec(kx) + np.sum(g * (skew(b) @ kx))
             assert abs(b @ hessian @ b - second) <= 1e-12 * (scale + np.abs(g).max())
-
-
-@pytest.mark.parametrize("name,objective", _quadric_objectives())
-def test_translation_step_is_the_quadric_difference(name, objective):
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        r = random_rotation(rng)
-        x = rng.uniform(-2.0, 2.0, size=3)
-        a, b, k = objective.translation_quadric(r)
-        gradient, line = amm._translation_block(objective, r)
-        g = gradient(x)
-        np.testing.assert_array_equal(g, 2.0 * (a @ x) + b)
-        step = line(x)
-        base = _terms(a, b, k, x)
-        for alpha in [2.0 ** e for e in range(-40, 6, 3)]:
-            change, g_new = step(g, alpha)
-            new = x - alpha * g
-            moved = _terms(a, b, k, new)
-            scale = sum(map(abs, base)) + sum(map(abs, moved))
-            assert abs(change - (sum(moved) - sum(base))) <= 1e-12 * scale, (name, alpha)
-            grad_scale = 2.0 * np.abs(a).sum() * np.abs(new).max() + np.abs(b).max()
-            np.testing.assert_allclose(g_new, 2.0 * (a @ new) + b,
-                                       rtol=0, atol=1e-12 * grad_scale)
 
 
 def test_loop_slopes_are_the_gradient_along_the_step(monkeypatch):

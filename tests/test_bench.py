@@ -9,7 +9,7 @@ from poseamm.absolute import build_gpnp_form, build_upnp_form
 from poseamm.bench import (SceneConfig, TrialRecord, apply_pixel_noise,
                            generate_absolute_scene, generate_relative_scene,
                            mean_records, pose_errors, run_sweep)
-from poseamm.exceptions import RankDeficientSystem
+from poseamm.exceptions import RankDeficientSystem, SingularTranslationSystem
 from poseamm.geometry import Pose, rodrigues_step, skew
 from poseamm.relative import build_gec_form
 
@@ -180,6 +180,20 @@ class TestRunSweep:
         for record in records:
             assert not record.converged
             assert math.isinf(record.rot_err_frobenius)
+
+    def test_singular_translation_block_recorded_as_failure(self):
+        # One correspondence leaves the depth along its ray free: the
+        # identity-seeded gPnP solve raises, and the sweep records it.
+        config = SceneConfig(seed=1, num_correspondences=1)
+        _, corrs = generate_absolute_scene(config)
+        with pytest.raises(SingularTranslationSystem):
+            bench.solve_amm(build_gpnp_form(corrs), np.zeros(3))
+        records = run_sweep(config, "absolute", [0.0], trials=2,
+                            solvers=("amm-gpnp",), init="identity",
+                            measure_time=False)
+        assert len(records) == 2
+        assert all(math.isinf(r.final_objective) and not r.converged
+                   for r in records)
 
     def test_rising_trace_recorded_as_failure(self, monkeypatch):
         # A solve whose objective trace rose is recorded as failed; the

@@ -267,14 +267,17 @@ class TestCliSolve:
         assert np.linalg.norm(rotation - truth.rotation) < 1e-5
         assert np.linalg.norm(translation - truth.translation) < 1e-5
 
-    def test_relative_closed_form_translation(self, tmp_path, capsys):
-        truth, path = self._write_relative_scene(tmp_path)
-        code = cli.main(["solve", "--input", str(path), "--solver", "amm-gec",
-                         "--closed-form-t"])
-        assert code == 0
-        rotation, translation = self._parse_pose(capsys.readouterr().out)
-        assert np.linalg.norm(rotation - truth.rotation) < 1e-5
-        assert np.linalg.norm(translation - truth.translation) < 1e-5
+    def test_singular_translation_block_exits_1(self, tmp_path, capsys):
+        # One point-to-ray correspondence leaves the depth along the ray
+        # free: the translation block has no unique minimizer.
+        path = tmp_path / "one.txt"
+        path.write_text("absolute\n1 2 5 0 0 1 0 0 0\n")
+        code = cli.main(["solve", "--input", str(path), "--solver", "amm-gpnp",
+                         "--t0", "0,0,0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "SingularTranslationSystem" in captured.err
+        assert captured.out == ""
 
     def test_kind_mismatch_exits_2(self, tmp_path, capsys):
         _, path = self._write_absolute_scene(tmp_path)

@@ -25,3 +25,7 @@ def test_counts_on_the_acceptance_protocol(capsys):
     assert counts["gradients_per_solve"] <= 15
     assert counts["trials_per_solve"] <= 20
     assert counts["first_step_trials"] <= 2
+    # One rotation subsolve per outer iteration, and no solve here raises.
+    for family in report["families"].values():
+        assert family["outer_iterations_per_solve"] == family["subsolves_per_solve"]
+    assert counts["outer_iterations_per_solve"] <= 10

@@ -14,7 +14,9 @@ of counts:
   a step (a closed-form polynomial on the block quadrics, a value
   difference otherwise);
 * ``subsolves_per_solve`` and ``gradients_per_subsolve_median``;
-* ``first_step_trials``: mean trials of the first step of a subsolve.
+* ``first_step_trials``: mean trials of the first step of a subsolve;
+* ``outer_iterations_per_solve``: mean outer iterations of the solves
+  that returned.
 
 The wrapper only counts, so the solves are the sweep's own. The
 counts are per family and over all solves.
@@ -64,8 +66,9 @@ def counting_block(block, subsolves):
 
 
 def summarize(per_solve):
-    """Counts of a list of solves, each a list of subsolves' step lists."""
-    subsolves = [steps for solve in per_solve for steps in solve]
+    """Counts of a list of solves, each a list of subsolves' step lists and
+    its outer iterations (None for a solve that raised)."""
+    subsolves = [steps for solve, _ in per_solve for steps in solve]
     solves = len(per_solve)
     return {
         "solves": solves,
@@ -75,6 +78,8 @@ def summarize(per_solve):
         "gradients_per_subsolve_median": statistics.median(map(len, subsolves)),
         "first_step_trials": statistics.fmean(steps[0] for steps in subsolves
                                               if steps),
+        "outer_iterations_per_solve": statistics.fmean(
+            outer for _, outer in per_solve if outer is not None),
     }
 
 
@@ -97,11 +102,13 @@ def main(argv=None) -> int:
             per_solve = []
 
             def counted_solve(*solve_args, **kwargs):
-                start = len(subsolves)
+                start, outer = len(subsolves), None
                 try:
-                    return solve(*solve_args, **kwargs)
+                    result = solve(*solve_args, **kwargs)
+                    outer = result.outer_iterations
+                    return result
                 finally:
-                    per_solve.append(subsolves[start:])
+                    per_solve.append((subsolves[start:], outer))
             bench.solve_amm = counted_solve
             bench.run_sweep(bench.SceneConfig(seed=args.seed, rig=rig), problem,
                             NOISE_LEVELS, args.trials, init=args.init,
