@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import EmptyData, RankDeficientSystem
+from .exceptions import PoseSolverError
 from .geometry import (RAY_SHAPE_MESSAGE, ObservedRay, check_rows, frozen_rows,
                        ray_faults)
 from .objectives import ABSOLUTE_LIFT, QuadricForm
@@ -119,7 +119,7 @@ def _stacked(corrs: Sequence[PointRayCorrespondence]):
     """-> (points, bearings, offsets), each (N, 3)."""
     rows = PointRaySet.of(corrs)
     if len(rows) == 0:
-        raise EmptyData("no point-ray correspondences")
+        raise PoseSolverError("no point-ray correspondences")
     return rows.points, rows.bearings, rows.offsets
 
 
@@ -182,13 +182,13 @@ def upnp_rows(corrs: Sequence[PointRayCorrespondence]) -> np.ndarray:
 
     and K and k_c need only the 3x3x3 moment sum_j v_j kron p_j kron v_j
     and the sums of p_j, c_j and v_j (v_j . c_j). Row block i is
-    [G_i, -I, d_i]. Raises RankDeficientSystem for degenerate ray
+    [G_i, -I, d_i]. Raises PoseSolverError for degenerate ray
     geometry, e.g. all bearings parallel from a single center.
     """
     points, bearings, offsets = _stacked(corrs)
     n = len(points)
     if _depth_system_min_eigenvalue(bearings) < _RANK_TOL:
-        raise RankDeficientSystem(
+        raise PoseSolverError(
             "stacked depth system lost column rank (degenerate ray geometry)")
     w = bearings @ np.linalg.inv(n * np.eye(3) - bearings.T @ bearings)
     proj = np.eye(3) - bearings[:, :, None] * bearings[:, None, :]

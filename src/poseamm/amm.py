@@ -25,7 +25,7 @@ angle mu |a| about a / |a|; mu is grown by doubling while the doubled
 step keeps paying off and shrunk by halving until the accepted step
 decreases the objective by at least 0.5 * mu * (0.5 tr ZZ'). mu carries
 over between the steepest-descent steps of one block solve and starts
-at ``AmmConfig.initial_mu`` in each.
+at ``_INITIAL_MU`` in each.
 
 When the objective provides ``translation_quadric`` (see
 ``PoseObjective``), the translation block is solved exactly: its
@@ -33,9 +33,10 @@ minimizer is the solution of 2At = -b (the linear elimination of t in
 UPnP; Kneip, Li and Seo, ECCV 2014), found by the same 3x3 L D L' as the
 Newton step (``objectives.translation_minimizer``). A block that is not
 positive definite relative to its own scale has no unique minimizer and
-raises SingularTranslationSystem. Otherwise the translation block is
-gradient descent with Barzilai-Borwein step lengths, stopping when the
-objective stalls or would increase.
+raises PoseSolverError. Otherwise the translation block is gradient
+descent with Barzilai-Borwein step lengths, seeded with the step length
+``_INITIAL_ALPHA`` and stopping when the objective stalls or would
+increase.
 
 The rotation solve holds the translation fixed for its whole run, so it
 works on a gradient and a line function of the rotation only: the line
@@ -65,23 +66,25 @@ tol_rotation. The move is a distance between rotations, free of the
 scene's units, so the schedule does not depend on its scale; as the
 alternation converges the move shrinks and the tolerance returns to
 tol_rotation, its floor. Only the outer loop applies the schedule; a
-block solver called on its own runs to the tolerance of its config.
+rotation solve called on its own runs to the tolerance it is given.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NonFiniteObjective
+from .exceptions import PoseSolverError
 from .geometry import Pose, project_to_so3, solve_symmetric_3x3
 from .objectives import PoseObjective, translation_minimizer
 
 _MU_MAX = 1e6            # cap for the doubling schedule on pathological objectives
 _MU_MIN = 1e-16          # below this the step has collapsed; keep the current iterate
+_INITIAL_MU = 1.0        # first steepest-descent step of each rotation solve
+_INITIAL_ALPHA = 1e-3    # first step length of each translation descent
 _FORCING = 1e-2          # rotation tolerance per radian the last outer iteration moved R
 _RATE_FLOOR = 1e-30      # squared-gradient scale treated as a stationary rotation
 _GRAD_DELTA_FLOOR = 1e-16  # gradient changes below this mean the descent is done
@@ -98,32 +101,25 @@ _GENERATORS = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0],
 
 @dataclass(frozen=True)
 class AmmConfig:
-    """Tolerances and step seeds for the alternating solver.
+    """Tolerances of the alternating solver.
 
     tol_outer stops the outer loop on the absolute objective change;
-    tol_rotation is a Frobenius threshold on the rotation step:
-    ``rotation_subsolve`` stops below it, and ``solve_amm`` uses it as the
-    floor of its rotation tolerance schedule (see the module docstring).
-    initial_mu seeds the steepest-descent step of each rotation solve; on
-    objectives with a rotation quadric it only seeds the fallback taken
-    when no Newton step is accepted (see the module docstring).
-    tol_translation, an absolute threshold on the translation objective
-    change, and initial_alpha, the first descent step length, act only on
-    objectives without a translation quadric, whose translation block is
-    solved by descent. Tolerances and step seeds must be finite and
-    positive, and max_outer_iters an integer of at least 1.
+    tol_rotation, a Frobenius threshold on the rotation step, is the
+    floor of ``solve_amm``'s rotation tolerance schedule (see the module
+    docstring). tol_translation, an absolute threshold on the translation
+    objective change, acts only on objectives without a translation
+    quadric, whose translation block is solved by descent. Tolerances
+    must be finite and positive, and max_outer_iters an integer of at
+    least 1.
     """
 
     tol_outer: float = 1e-9
     max_outer_iters: int = 100
     tol_rotation: float = 1e-8
     tol_translation: float = 1e-10
-    initial_mu: float = 1.0
-    initial_alpha: float = 1e-3
 
     def __post_init__(self):
-        for name in ("tol_outer", "tol_rotation", "tol_translation",
-                     "initial_mu", "initial_alpha"):
+        for name in ("tol_outer", "tol_rotation", "tol_translation"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -276,20 +272,20 @@ def _newton_vector(c, m, a0, a1, a2):
 
 
 def rotation_subsolve(objective: PoseObjective, rotation_init, translation_fixed,
-                      config: AmmConfig = AmmConfig()) -> np.ndarray:
+                      tol: float = AmmConfig.tol_rotation) -> np.ndarray:
     """Minimize over rotations at a fixed translation.
 
     Returns a rotation with objective value no larger than at
     ``rotation_init`` (on the rotation quadric, when the objective has
-    one). Stops when the Frobenius step norm drops below
-    ``config.tol_rotation``, when the tangent gradient vanishes, or when
-    the step length underflows on a flat objective (the best iterate so
-    far is returned in that case).
+    one). Stops when the Frobenius step norm drops below ``tol`` (by
+    default ``AmmConfig().tol_rotation``), when the tangent gradient
+    vanishes, or when the step length underflows on a flat objective (the
+    best iterate so far is returned in that case).
     """
     gradient, curvature, line = _rotation_block(
         objective, np.asarray(translation_fixed, dtype=float))
     x = np.asarray(rotation_init, dtype=float)
-    mu = config.initial_mu
+    mu = _INITIAL_MU
     search = line(x)
     for inner in range(1, _INNER_CAP + 1):
         # Riemannian gradient Z = grad X' - X grad' = M - M' with M = grad X';
@@ -354,7 +350,7 @@ def rotation_subsolve(objective: PoseObjective, rotation_init, translation_fixed
             x = project_to_so3(x)
         search = line(x)
         # ||expm(theta K) - I||_F = sqrt(2 (sin^2 + (1 - cos)^2))
-        if _SQRT2 * math.hypot(sp, cp) < config.tol_rotation:
+        if _SQRT2 * math.hypot(sp, cp) < tol:
             break
     return x
 
@@ -365,12 +361,12 @@ def translation_subsolve(objective: PoseObjective, translation_init, rotation_fi
 
     On a translation quadric (A, b, k) this returns its exact minimizer,
     the solution of 2At = -b, whatever ``translation_init`` is, and calls
-    neither ``value`` nor the gradients; it raises
-    SingularTranslationSystem when A is not positive definite relative to
-    its own scale (``objectives.translation_minimizer``).
+    neither ``value`` nor the gradients; it raises PoseSolverError when A
+    is not positive definite relative to its own scale
+    (``objectives.translation_minimizer``).
 
-    Otherwise it runs Barzilai-Borwein gradient descent seeded with
-    ``config.initial_alpha`` and returns the last iterate that decreased
+    Otherwise it runs Barzilai-Borwein gradient descent seeded with the
+    step length ``_INITIAL_ALPHA`` and returns the last iterate that decreased
     the objective: a step that would increase it ends the descent, a
     decrease below ``config.tol_translation`` or a vanishing gradient
     change is treated as convergence.
@@ -381,7 +377,7 @@ def translation_subsolve(objective: PoseObjective, translation_init, rotation_fi
         a, b, _ = quadric(r)
         return translation_minimizer(a, b)
     x = np.asarray(translation_init, dtype=float)
-    alpha = config.initial_alpha
+    alpha = _INITIAL_ALPHA
     fx = float(objective.value(r, x))
     g = np.asarray(objective.translation_gradient(r, x), dtype=float)
     for _ in range(_INNER_CAP):
@@ -419,25 +415,25 @@ def solve_amm(objective: PoseObjective, translation_init,
     previous iterate is kept), or at the iteration cap (not converged). The final
     objective is evaluated at the returned pose. Each translation solve is
     ``translation_subsolve``: exact on a translation quadric, where a
-    singular block raises SingularTranslationSystem, and a descent from
-    the previous translation otherwise. Raises NonFiniteObjective if any
+    singular block raises PoseSolverError, and a descent from the
+    previous translation otherwise. Raises PoseSolverError if any
     evaluation returns NaN or infinity.
     """
     t = np.asarray(translation_init, dtype=float)
     r = np.eye(3) if rotation_init is None else np.asarray(rotation_init, dtype=float)
     f_prev = float(objective.value(r, t))
     if not np.isfinite(f_prev):
-        raise NonFiniteObjective("objective is not finite at the initial guess")
+        raise PoseSolverError("objective is not finite at the initial guess")
     trace = []
     converged = False
     outer = 0
-    inner_config = config
+    tol = config.tol_rotation
     for outer in range(1, config.max_outer_iters + 1):
-        r_new = rotation_subsolve(objective, r, t, inner_config)
+        r_new = rotation_subsolve(objective, r, t, tol)
         t_new = translation_subsolve(objective, t, r_new, config)
         f = float(objective.value(r_new, t_new))
         if not np.isfinite(f):
-            raise NonFiniteObjective("objective became non-finite during the solve")
+            raise PoseSolverError("objective became non-finite during the solve")
         if f > f_prev:
             # The block solves only accept decreases of their own block
             # objectives, so a rise is rounding: nothing left to gain.
@@ -447,8 +443,6 @@ def solve_amm(objective: PoseObjective, translation_init,
         # outer iteration moved the rotation, down to the configured floor.
         move = r_new - r
         tol = max(config.tol_rotation, _FORCING * math.sqrt(float(np.vdot(move, move))))
-        inner_config = (config if tol == config.tol_rotation
-                        else replace(config, tol_rotation=tol))
         r, t = r_new, t_new
         trace.append(f)
         if f_prev - f < config.tol_outer:

@@ -13,6 +13,7 @@ reproducible regardless of execution order or worker count.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 import time
@@ -24,7 +25,7 @@ import numpy as np
 
 from .absolute import PointRaySet, build_gpnp_form, build_upnp_form
 from .amm import AmmConfig, AmmResult, solve_amm
-from .exceptions import PoseSolverError, RankDeficientSystem
+from .exceptions import PoseSolverError
 from .geometry import Pose, rodrigues_step
 from .initializers import init_absolute_linear, init_identity, init_relative_17pt
 from .relative import RayPairSet, build_gec_form
@@ -40,6 +41,13 @@ SOLVER_GPNP = "amm-gpnp"
 SOLVER_UPNP = "amm-upnp"
 RELATIVE_SOLVERS = (SOLVER_GEC,)
 ABSOLUTE_SOLVERS = (SOLVER_GPNP, SOLVER_UPNP)
+
+# The three benchmark families: (name, problem, rig).
+FAMILIES = (
+    ("relative-noncentral", PROBLEM_RELATIVE, RIG_NON_CENTRAL),
+    ("absolute-central", PROBLEM_ABSOLUTE, RIG_CENTRAL),
+    ("absolute-noncentral", PROBLEM_ABSOLUTE, RIG_NON_CENTRAL),
+)
 
 INIT_LINEAR = "linear"
 INIT_IDENTITY = "identity"
@@ -260,7 +268,7 @@ def mean_records(records: Sequence[TrialRecord]) -> list:
 def build_objective(solver: str, corrs):
     """The objective a named solver minimizes over the given correspondences.
 
-    Raises RankDeficientSystem for GEC data from two central cameras: all
+    Raises PoseSolverError for GEC data from two central cameras: all
     Plücker moments vanish, so the rows of H that couple vec(R) are zero
     and the scale of the translation cannot be observed.
     """
@@ -268,7 +276,7 @@ def build_objective(solver: str, corrs):
         form = build_gec_form(corrs)
         coupling = np.linalg.norm(form.h[9:, :])
         if coupling <= _CENTRAL_GEC_TOL * np.linalg.norm(form.h):
-            raise RankDeficientSystem(
+            raise PoseSolverError(
                 "central relative data: the translation scale is unobservable")
         return form
     if solver == SOLVER_GPNP:
@@ -338,15 +346,18 @@ def _run_trial(task, base_config: SceneConfig, problem: str, solvers,
 
 
 def _worker_count(max_workers: Optional[int]) -> int:
+    """Worker processes for a sweep, never more than the cores: a pool
+    forks all of its workers on the first task."""
+    cores = os.cpu_count() or 1
     if max_workers is not None:
-        return max(1, int(max_workers))
+        return min(cores, max(1, int(max_workers)))
     env = os.environ.get(THREADS_ENV)
     if env is None:
         return 1
     if not env.strip().isdecimal():
         raise ValueError(f"{THREADS_ENV} must be a nonnegative integer, got {env!r}")
     n = int(env)
-    return (os.cpu_count() or 1) if n == 0 else n
+    return cores if n == 0 else min(cores, n)
 
 
 def run_sweep(base_config: SceneConfig, problem: str, noise_levels: Sequence[float],
@@ -363,7 +374,7 @@ def run_sweep(base_config: SceneConfig, problem: str, noise_levels: Sequence[flo
     trace rose by more than rounding, become non-converged records with
     infinite errors; they never abort the sweep. Worker processes:
     ``max_workers`` if given, else the POSEAMM_THREADS environment
-    variable (0 = all cores), else serial.
+    variable (0 = all cores), else serial; never more than the cores.
     """
     if problem not in (PROBLEM_ABSOLUTE, PROBLEM_RELATIVE):
         raise ValueError(f"unknown problem kind {problem!r}")
@@ -380,8 +391,9 @@ def run_sweep(base_config: SceneConfig, problem: str, noise_levels: Sequence[flo
              for level_index, sigma in enumerate(noise_levels)
              for trial in range(trials)]
     workers = _worker_count(max_workers)
-    run_one = _TrialRunner(base_config, problem, tuple(solvers), init,
-                           amm_config, measure_time)
+    run_one = functools.partial(_run_trial, base_config=base_config, problem=problem,
+                                solvers=tuple(solvers), init=init,
+                                amm_config=amm_config, measure_time=measure_time)
     if workers > 1 and len(tasks) >= 4:
         chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -389,19 +401,3 @@ def run_sweep(base_config: SceneConfig, problem: str, noise_levels: Sequence[flo
     else:
         grouped = [run_one(task) for task in tasks]
     return [record for group in grouped for record in group]
-
-
-class _TrialRunner:
-    """Picklable closure over the sweep parameters."""
-
-    def __init__(self, base_config, problem, solvers, init, amm_config, measure_time):
-        self.base_config = base_config
-        self.problem = problem
-        self.solvers = solvers
-        self.init = init
-        self.amm_config = amm_config
-        self.measure_time = measure_time
-
-    def __call__(self, task):
-        return _run_trial(task, self.base_config, self.problem, self.solvers,
-                          self.init, self.amm_config, self.measure_time)

@@ -3,7 +3,10 @@
 The CLI is a thin shell over the library; every behavior here is
 reachable through run_sweep, the form builders and solve_amm.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or parse errors.
+Exit codes: 0 success; 1 when a solve fails (a PoseSolverError, printed
+as ``error: <message>``) or every trial of a sweep failed; 2 for usage
+errors and faulty correspondence files (a ParseError, printed with the
+file name).
 """
 
 from __future__ import annotations
@@ -18,29 +21,37 @@ import numpy as np
 from . import bench, fileio
 from .amm import AmmConfig, solve_amm
 from .bench import SceneConfig
-from .exceptions import ConstraintViolation, ParseError, PoseSolverError
+from .exceptions import ParseError, PoseSolverError
 
-_FAMILIES = {
-    "relative-noncentral": (bench.PROBLEM_RELATIVE, bench.RIG_NON_CENTRAL),
-    "absolute-central": (bench.PROBLEM_ABSOLUTE, bench.RIG_CENTRAL),
-    "absolute-noncentral": (bench.PROBLEM_ABSOLUTE, bench.RIG_NON_CENTRAL),
-}
+_FAMILIES = {name: (problem, rig) for name, problem, rig in bench.FAMILIES}
 
 _SOLVER_CHOICES = (bench.SOLVER_GEC, bench.SOLVER_GPNP, bench.SOLVER_UPNP)
 
+_MAX_NOISE_LEVELS = 10_000
+
 
 def _parse_noise_grid(spec: str):
-    """Inclusive "min:step:max" grid, e.g. 0:2:10 -> [0, 2, 4, 6, 8, 10]."""
+    """Inclusive "min:step:max" grid, e.g. 0:2:10 -> [0, 2, 4, 6, 8, 10].
+
+    Fields must be finite, min nonnegative, and the grid at most
+    ``_MAX_NOISE_LEVELS`` levels long.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"noise grid must be min:step:max, got {spec!r}")
     lo, step, hi = (float(p) for p in parts)
+    if not all(map(math.isfinite, (lo, step, hi))):
+        raise ValueError(f"noise grid fields must be finite, got {spec!r}")
+    if lo < 0:
+        raise ValueError("noise grid min must be >= 0")
     if hi < lo:
         raise ValueError("noise grid max must be >= min")
     if step <= 0:
         if lo == hi:
             return [lo]
         raise ValueError("noise grid step must be positive")
+    if (hi - lo) / step >= _MAX_NOISE_LEVELS:
+        raise ValueError(f"noise grid has more than {_MAX_NOISE_LEVELS} levels")
     levels = []
     x = lo
     while x <= hi + 1e-12:
@@ -159,7 +170,7 @@ def _parse_t0(text: str) -> np.ndarray:
 def _cmd_solve(args) -> int:
     try:
         kind, corrs = fileio.parse_correspondence_file(args.input)
-    except (ParseError, ConstraintViolation) as exc:
+    except ParseError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -186,7 +197,7 @@ def _cmd_solve(args) -> int:
             r0 = None
         result = solve_amm(objective, t0, amm_config, rotation_init=r0)
     except PoseSolverError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     fmt = "%.17g"
     rotation_row_major = result.pose.rotation.reshape(9)

@@ -1,45 +1,18 @@
-"""Exception types raised across the library."""
+"""Exception types raised across the library.
+
+Only the distinctions a caller acts on have their own type: a
+``PoseSolverError`` is a solve that cannot go on (``run_sweep`` records
+a failed trial, ``poseamm solve`` exits 1), and its subclass
+``ParseError`` is a faulty correspondence file (``poseamm solve`` exits
+2). The message says what went wrong.
+"""
 
 
 class PoseSolverError(Exception):
-    """Base class for every error this package raises on purpose."""
-
-
-class AmbiguousProjection(PoseSolverError):
-    """Nearest-rotation projection is not unique for this matrix."""
-
-
-class SingularTranslationSystem(PoseSolverError):
-    """The translation block of a quadratic form is numerically singular."""
-
-
-class NonFiniteObjective(PoseSolverError):
-    """An objective evaluation returned NaN or infinity (malformed data)."""
-
-
-class EmptyData(PoseSolverError):
-    """A form builder received no correspondences."""
-
-
-class RankDeficientSystem(PoseSolverError):
-    """Degenerate ray geometry: the stacked depth system lost column rank."""
-
-
-class InsufficientData(PoseSolverError):
-    """Too few correspondences for the requested estimator."""
-
-
-class DegenerateNullspace(PoseSolverError):
-    """The constraint matrix nullspace is not one-dimensional."""
-
-
-class SingularSystem(PoseSolverError):
-    """The joint linear stationarity system is numerically singular."""
+    """Base class for every error this package raises on purpose: degenerate
+    or empty data, a singular system, a non-finite objective."""
 
 
 class ParseError(PoseSolverError):
-    """A correspondence file line could not be parsed; message names the line."""
-
-
-class ConstraintViolation(PoseSolverError):
-    """A parsed record violates a geometric constraint; message names the line."""
+    """A correspondence file line is malformed or violates a geometric
+    constraint; the message names the line."""

@@ -36,7 +36,7 @@ import numpy as np
 
 from .absolute import PointRaySet
 from .bench import TrialRecord
-from .exceptions import ConstraintViolation, ParseError
+from .exceptions import ParseError
 from .geometry import first_fault, row_dots, row_norms
 from .relative import RayPairSet
 
@@ -154,7 +154,7 @@ def _checked_set(kind: str, values: np.ndarray, linenos):
                     (norms < _ZERO_NORM, parse_error("zero direction vector")),
                     (~(np.isfinite(norms) & np.isfinite(m).all(axis=1)), non_finite),
                     (np.abs(residual) > _PLUECKER_TOL,
-                     lambda i, r=residual: ConstraintViolation(
+                     lambda i, r=residual: ParseError(
                          f"line {linenos[i]}: direction.moment = {r[i]:g} "
                          f"exceeds {_PLUECKER_TOL:g}"))]
                 arrays += [d, m - residual[:, None] * d]
@@ -170,8 +170,8 @@ def _checked_set(kind: str, values: np.ndarray, linenos):
 def parse_correspondence_file(path):
     """-> (kind, PointRaySet or RayPairSet). Errors name the first faulty line.
 
-    Raises ParseError, or ConstraintViolation for a relative line whose
-    direction-moment product exceeds 1e-6.
+    Raises ParseError, also for a relative line whose direction-moment
+    product exceeds 1e-6.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as stream:
         kind, values, linenos, stop = _read_rows(stream, str(path))

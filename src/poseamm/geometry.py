@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AmbiguousProjection
+from .exceptions import PoseSolverError
 
 ROTATION_TOL = 1e-9
 UNIT_TOL = 1e-12
@@ -58,14 +58,14 @@ def project_to_so3(b) -> np.ndarray:
     """Nearest rotation to ``b`` in the Frobenius norm.
 
     Computed from the SVD with a determinant correction on the smallest
-    singular direction. Raises AmbiguousProjection when that correction is
+    singular direction. Raises PoseSolverError when that correction is
     not unique (negative determinant with equal trailing singular values).
     """
     b = np.asarray(b, dtype=float)
     u, s, vt = np.linalg.svd(b)
     d = float(np.linalg.det(u @ vt))
     if d < 0.0 and s[1] - s[2] < 1e-12:
-        raise AmbiguousProjection(
+        raise PoseSolverError(
             "nearest rotation is not unique: negative determinant with "
             "equal trailing singular values")
     return u @ np.diag([1.0, 1.0, 1.0 if d > 0.0 else -1.0]) @ vt

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import DegenerateNullspace, InsufficientData, SingularSystem
+from .exceptions import PoseSolverError
 from .geometry import Pose, project_to_so3, unskew, unvec
 from .objectives import QuadricForm
 from .relative import RayCorrespondence, gec_rows
@@ -33,7 +33,7 @@ def init_relative_17pt(corrs: Sequence[RayCorrespondence]) -> Pose:
     SO(3), and the translation recovered from skew(t) = E R'.
     """
     if len(corrs) < 17:
-        raise InsufficientData(
+        raise PoseSolverError(
             f"need at least 17 ray correspondences, got {len(corrs)}")
     stack = gec_rows(corrs)
     # Seventeen rows need the full factorization to reach the 18th vector.
@@ -41,7 +41,7 @@ def init_relative_17pt(corrs: Sequence[RayCorrespondence]) -> Pose:
     # For exactly 17 rows the 18th singular value is an implicit zero.
     gap = svals[-2] - svals[-1] if len(svals) >= 18 else svals[-1]
     if gap <= 1e-10 * svals[0]:
-        raise DegenerateNullspace(
+        raise PoseSolverError(
             "two smallest singular values coincide; nullspace is not unique")
     null = vt[-1]
     b = unvec(null[9:])
@@ -65,7 +65,7 @@ def init_absolute_linear(form: QuadricForm) -> Pose:
     then projects the rotation block and recomputes the translation
     exactly at the projected rotation. Twelve unknowns need at least six
     correspondences; fewer leave the system singular and raise
-    SingularSystem. A form over another lift raises ValueError.
+    PoseSolverError. A form over another lift raises ValueError.
 
     Single-center data makes the form homogeneous (no linear terms), which
     turns the stationarity system into a gauge problem: every multiple of
@@ -81,14 +81,14 @@ def init_absolute_linear(form: QuadricForm) -> Pose:
     if np.linalg.norm(rhs) <= 1e-12 * max(1.0, svals[0]):
         eigvals, eigvecs = np.linalg.eigh(k)
         if eigvals[1] - eigvals[0] <= 1e-10 * max(1.0, eigvals[-1]):
-            raise SingularSystem(
+            raise PoseSolverError(
                 "homogeneous stationarity system has no unique direction")
         sol = eigvecs[:, 0]
         if np.linalg.det(unvec(sol[:9])) < 0.0:
             sol = -sol
     else:
         if svals[-1] < 1e-12:
-            raise SingularSystem(
+            raise PoseSolverError(
                 "stationarity system is singular (planar or degenerate data)")
         sol = np.linalg.solve(k, rhs)
     rotation = project_to_so3(unvec(sol[:9]))

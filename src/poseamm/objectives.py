@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import SingularTranslationSystem
+from .exceptions import PoseSolverError
 from .geometry import skew, solve_symmetric_3x3, unvec, vec
 
 
@@ -215,7 +215,7 @@ class QuadricForm(PoseObjective):
 def translation_minimizer(a, b) -> np.ndarray:
     """The t minimizing t'At + b't, the solution of 2At = -b.
 
-    Raises SingularTranslationSystem unless the symmetric 3x3 A is positive
+    Raises PoseSolverError unless the symmetric 3x3 A is positive
     definite relative to its own scale: every pivot of its L D L'
     factorization (``geometry.solve_symmetric_3x3``) must exceed 1e-12 |tr A|.
     """
@@ -224,6 +224,6 @@ def translation_minimizer(a, b) -> np.ndarray:
     x = solve_symmetric_3x3(a00, a01, a02, a11, a12, a22, b0, b1, b2,
                             1e-12 * abs(a00 + a11 + a22))
     if x is None:
-        raise SingularTranslationSystem(
+        raise PoseSolverError(
             "translation block is singular; no unique minimizer")
     return -0.5 * np.array(x)

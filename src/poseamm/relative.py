@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import EmptyData
+from .exceptions import PoseSolverError
 from .geometry import (LINE_SHAPE_MESSAGE, PlueckerLine, check_rows,
                        frozen_rows, line_faults)
 from .objectives import GEC_LIFT, QuadricForm
@@ -97,7 +97,7 @@ def gec_rows(corrs: Sequence[RayCorrespondence]) -> np.ndarray:
     """
     pairs = RayPairSet.of(corrs)
     if len(pairs) == 0:
-        raise EmptyData("no ray correspondences")
+        raise PoseSolverError("no ray correspondences")
     d1, m1, d2, m2 = pairs.d1, pairs.m1, pairs.d2, pairs.m2
     n = len(d1)
     rows = np.empty((n, 18))

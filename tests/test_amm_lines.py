@@ -155,7 +155,7 @@ def test_loop_slopes_are_the_gradient_along_the_step(monkeypatch):
 # objective values, kept here as the reference.
 
 def reference_rotation_subsolve(objective, rotation_init, translation_fixed,
-                                config=AmmConfig()):
+                                tol=AmmConfig().tol_rotation):
     t = np.asarray(translation_fixed, dtype=float)
 
     def value(x):
@@ -170,7 +170,7 @@ def reference_rotation_subsolve(objective, rotation_init, translation_fixed,
         return x + s * kx + c * k2x, math.sqrt(2.0) * math.hypot(s, c)
 
     x = np.asarray(rotation_init, dtype=float)
-    mu = config.initial_mu
+    mu = amm._INITIAL_MU
     gx = value(x)
     for inner in range(1, 100_001):
         m = (gradient(x) @ x.T).tolist()
@@ -210,7 +210,7 @@ def reference_rotation_subsolve(objective, rotation_init, translation_fixed,
         if inner % 50 == 0:
             x = project_to_so3(x)
             gx = value(x)
-        if step_p < config.tol_rotation:
+        if step_p < tol:
             break
     return x
 
@@ -226,7 +226,7 @@ def reference_translation_subsolve(objective, translation_init, rotation_fixed,
         return np.asarray(objective.translation_gradient(r, x), dtype=float)
 
     x = np.asarray(translation_init, dtype=float)
-    alpha = config.initial_alpha
+    alpha = amm._INITIAL_ALPHA
     h = value(x)
     g = gradient(x)
     for _ in range(100_000):

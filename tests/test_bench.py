@@ -9,7 +9,7 @@ from poseamm.absolute import build_gpnp_form, build_upnp_form
 from poseamm.bench import (SceneConfig, TrialRecord, apply_pixel_noise,
                            generate_absolute_scene, generate_relative_scene,
                            mean_records, pose_errors, run_sweep)
-from poseamm.exceptions import RankDeficientSystem, SingularTranslationSystem
+from poseamm.exceptions import PoseSolverError
 from poseamm.geometry import Pose, rodrigues_step, skew
 from poseamm.relative import build_gec_form
 
@@ -186,7 +186,7 @@ class TestRunSweep:
         # identity-seeded gPnP solve raises, and the sweep records it.
         config = SceneConfig(seed=1, num_correspondences=1)
         _, corrs = generate_absolute_scene(config)
-        with pytest.raises(SingularTranslationSystem):
+        with pytest.raises(PoseSolverError, match="translation block is singular"):
             bench.solve_amm(build_gpnp_form(corrs), np.zeros(3))
         records = run_sweep(config, "absolute", [0.0], trials=2,
                             solvers=("amm-gpnp",), init="identity",
@@ -246,7 +246,7 @@ class TestRunSweep:
         # would return t = 0 with objective 0. They become failed records.
         config = SceneConfig(seed=12, rig="central")
         _, corrs = generate_relative_scene(config)
-        with pytest.raises(RankDeficientSystem):
+        with pytest.raises(PoseSolverError, match="translation scale is unobservable"):
             bench.build_objective(bench.SOLVER_GEC, corrs)
         records = run_sweep(config, "relative", [0.0, 2.0], trials=2,
                             init="identity", measure_time=False)
@@ -261,6 +261,27 @@ class TestRunSweep:
                             [0.0], trials=3, solvers=("amm-gpnp",),
                             init="identity", measure_time=False)
         assert len(records) == 3
+
+
+class TestWorkerCount:
+    # Only the count is computed; no pool is started with these values.
+    @pytest.fixture(autouse=True)
+    def four_cores(self, monkeypatch):
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 4)
+        monkeypatch.delenv(bench.THREADS_ENV, raising=False)
+
+    def test_serial_by_default(self):
+        assert bench._worker_count(None) == 1
+
+    @pytest.mark.parametrize("value,workers", [("0", 4), ("3", 3), ("4", 4),
+                                               ("100000", 4)])
+    def test_env_capped_at_cores(self, monkeypatch, value, workers):
+        monkeypatch.setenv(bench.THREADS_ENV, value)
+        assert bench._worker_count(None) == workers
+
+    @pytest.mark.parametrize("max_workers,workers", [(0, 1), (2, 2), (10**6, 4)])
+    def test_argument_capped_at_cores(self, max_workers, workers):
+        assert bench._worker_count(max_workers) == workers
 
 
 class TestTrialRecord:

@@ -10,7 +10,7 @@ from poseamm import cli, fileio
 from poseamm.absolute import PointRayCorrespondence
 from poseamm.bench import (SceneConfig, generate_absolute_scene,
                            generate_relative_scene, run_sweep)
-from poseamm.exceptions import ConstraintViolation, ParseError
+from poseamm.exceptions import ParseError
 from poseamm.geometry import ObservedRay, PlueckerLine
 from poseamm.relative import RayCorrespondence
 
@@ -49,7 +49,7 @@ class TestParseCorrespondenceFile:
         path = tmp_path / "rel.txt"
         # direction.moment = 0.1 on the first line
         path.write_text("relative\n1 0 0  0.1 0 0  0 1 0  0 0 0\n")
-        with pytest.raises(ConstraintViolation, match="line 2"):
+        with pytest.raises(ParseError, match="line 2: direction.moment"):
             fileio.parse_correspondence_file(path)
 
     def test_bearing_renormalized(self, tmp_path):
@@ -222,6 +222,28 @@ class TestCliBench:
                          "--trials", "1"])
         assert code == 2
 
+    @staticmethod
+    def _noise_grid_error(capsys, noise):
+        code = cli.main(["bench", "absolute-central", f"--noise={noise}", "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("noise", ["0:1:inf", "nan:1:2", "0:inf:1", "0:nan:1"])
+    def test_non_finite_noise_grid_exits_2(self, capsys, noise):
+        assert "must be finite" in self._noise_grid_error(capsys, noise)
+
+    def test_negative_noise_minimum_exits_2(self, capsys):
+        assert "min must be >= 0" in self._noise_grid_error(capsys, "-1:1:0")
+
+    @pytest.mark.parametrize("noise", ["0:1:10000", "0:1e-4:2"])
+    def test_noise_grid_over_level_cap_exits_2(self, capsys, noise):
+        # 10001 and 20001 levels; the protocol grid 0:2:10 has 6.
+        assert "more than 10000 levels" in self._noise_grid_error(capsys, noise)
+
+    def test_noise_grid_at_level_cap(self):
+        assert len(cli._parse_noise_grid("0:1:9999")) == cli._MAX_NOISE_LEVELS
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = cli.main(["bench", "absolute-noncentral", "--trials", "2",
@@ -276,8 +298,17 @@ class TestCliSolve:
                          "--t0", "0,0,0"])
         assert code == 1
         captured = capsys.readouterr()
-        assert "SingularTranslationSystem" in captured.err
+        assert captured.err == "error: translation block is singular; no unique minimizer\n"
         assert captured.out == ""
+
+    def test_pluecker_violation_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "rel.txt"
+        path.write_text("relative\n1 0 0  0.1 0 0  0 1 0  0 0 0\n")
+        code = cli.main(["solve", "--input", str(path), "--solver", "amm-gec"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: line 2: direction.moment")
 
     def test_kind_mismatch_exits_2(self, tmp_path, capsys):
         _, path = self._write_absolute_scene(tmp_path)
@@ -315,14 +346,14 @@ class TestCliSolve:
         code = cli.main(["solve", "--input", str(path), "--solver", "amm-upnp",
                          "--t0", "0,0,0"])
         assert code == 1
-        assert "RankDeficientSystem" in capsys.readouterr().err
+        assert "stacked depth system lost column rank" in capsys.readouterr().err
 
     @pytest.mark.parametrize("t0", [[], ["--t0", "0,0,0"]])
     def test_central_relative_rig_exits_1(self, tmp_path, capsys, t0):
         _, path = self._write_relative_scene(tmp_path, rig="central")
         code = cli.main(["solve", "--input", str(path), "--solver", "amm-gec"] + t0)
         assert code == 1
-        assert "RankDeficientSystem" in capsys.readouterr().err
+        assert "the translation scale is unobservable" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- references
@@ -342,7 +373,7 @@ def reference_load_line(direction, moment, lineno):
         raise ParseError(f"line {lineno}: non-finite field")
     residual = float(d @ m)
     if abs(residual) > 1e-6:
-        raise ConstraintViolation(
+        raise ParseError(
             f"line {lineno}: direction.moment = {residual:g} exceeds {1e-6:g}")
     return PlueckerLine(d, m - residual * d)
 
@@ -504,7 +535,7 @@ def _two_fault_cases():
 class TestFirstFaultReported:
     @staticmethod
     def _error(parse, path):
-        with pytest.raises((ParseError, ConstraintViolation)) as info:
+        with pytest.raises(ParseError) as info:
             parse(path)
         return type(info.value), str(info.value)
 
@@ -532,10 +563,9 @@ class TestFirstFaultReported:
         got = self._error(fileio.parse_correspondence_file, path)
         assert got == self._error(reference_parse, path)
         assert got[1].startswith("line 2:")
+        assert got[0] is ParseError
         if fault.startswith("pluecker"):
-            assert got[0] is ConstraintViolation
-        else:
-            assert got[0] is ParseError
+            assert "direction.moment" in got[1]
 
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "empty.txt"

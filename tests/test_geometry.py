@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rotation
-from poseamm.exceptions import AmbiguousProjection
+from poseamm.exceptions import PoseSolverError
 from poseamm.geometry import (ObservedRay, PlueckerLine, Pose,
                               project_to_so3, rodrigues_step, skew, unskew,
                               unvec, vec)
@@ -111,7 +111,7 @@ class TestProjectToSo3:
             assert np.linalg.norm(candidate - b) >= best - 1e-12
 
     def test_ambiguous_projection_raises(self):
-        with pytest.raises(AmbiguousProjection):
+        with pytest.raises(PoseSolverError, match="nearest rotation is not unique"):
             project_to_so3(np.diag([2.0, 1.0, -1.0]))
 
 

@@ -6,7 +6,7 @@ from conftest import (assert_block_quadrics_match, fd_rotation_gradient,
                       relative_gradient_error)
 from poseamm.absolute import build_gpnp_form, build_upnp_form, gpnp_rows, upnp_rows
 from poseamm.bench import SceneConfig, generate_absolute_scene, generate_relative_scene
-from poseamm.exceptions import SingularTranslationSystem
+from poseamm.exceptions import PoseSolverError
 from poseamm.objectives import ABSOLUTE_LIFT, GEC_LIFT, QuadricForm
 from poseamm.relative import build_gec_form, gec_rows
 
@@ -131,7 +131,7 @@ class TestClosedFormTranslation:
 
     def test_singular_block_raises(self):
         form = absolute_form(tt=np.diag([1.0, 1.0, 0.0]))
-        with pytest.raises(SingularTranslationSystem):
+        with pytest.raises(PoseSolverError, match="translation block is singular"):
             form.closed_form_translation(np.eye(3))
 
     def test_gec_minimizer_on_clean_data(self):

@@ -5,7 +5,7 @@ from conftest import (assert_block_quadrics_match, fd_rotation_gradient,
                       fd_translation_gradient, random_pose_arrays,
                       relative_gradient_error)
 from poseamm.bench import SceneConfig, generate_relative_scene
-from poseamm.exceptions import EmptyData
+from poseamm.exceptions import PoseSolverError
 from poseamm.geometry import PlueckerLine, skew, unvec, vec
 from poseamm.objectives import GEC_LIFT, QuadricForm
 from poseamm.relative import RayCorrespondence, build_gec_form, gec_rows
@@ -68,7 +68,7 @@ class TestBuildGecForm:
         assert np.linalg.matrix_rank(form.h) == 1
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyData):
+        with pytest.raises(PoseSolverError, match="no ray correspondences"):
             build_gec_form([])
 
     def test_zero_at_truth_on_clean_data(self):

@@ -16,7 +16,7 @@ def test_counts_on_the_acceptance_protocol(capsys):
     assert module.main(["--trials", "5"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert amm._rotation_block is block and bench.solve_amm is solve
-    assert sorted(report["families"]) == sorted(name for name, _, _ in module.FAMILIES)
+    assert sorted(report["families"]) == sorted(name for name, _, _ in bench.FAMILIES)
     counts = report["all"]
     assert counts["solves"] == 5 * 6 * 5              # gPnP and UPnP per absolute scene
     # Steepest descent alone made about 36 rotation gradient evaluations

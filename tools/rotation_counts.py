@@ -31,11 +31,6 @@ import sys
 
 from poseamm import amm, bench
 
-FAMILIES = (
-    ("relative-noncentral", bench.PROBLEM_RELATIVE, bench.RIG_NON_CENTRAL),
-    ("absolute-central", bench.PROBLEM_ABSOLUTE, bench.RIG_CENTRAL),
-    ("absolute-noncentral", bench.PROBLEM_ABSOLUTE, bench.RIG_NON_CENTRAL),
-)
 NOISE_LEVELS = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 
 
@@ -98,7 +93,7 @@ def main(argv=None) -> int:
     everything = []
     amm._rotation_block = counting_block(block, subsolves)
     try:
-        for name, problem, rig in FAMILIES:
+        for name, problem, rig in bench.FAMILIES:
             per_solve = []
 
             def counted_solve(*solve_args, **kwargs):
