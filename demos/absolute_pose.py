@@ -2,7 +2,9 @@
 
 Generates a synthetic non-central scene, builds both absolute objectives
 (point-to-ray distance and the depth-eliminated ray residual), seeds the
-solver with the linear initializer and alternates to convergence. Run:
+solver with the linear initializer and solves once for the rotation, with
+the translation eliminated (one outer iteration), then for the
+translation. Run:
 
     python3 demos/absolute_pose.py
 """

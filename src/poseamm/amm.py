@@ -1,5 +1,17 @@
 """Alternating minimization engine: an outer loop over two block solvers.
 
+On both absolute objectives the alternation is not needed. Their
+translation block t'H_tt t + ... has an H_tt that does not depend on R,
+so the exact translation is affine in r = vec(R) and min_t F(R, t) is one
+fixed quadric in r, the Schur complement of H_tt in H (the linear
+elimination of t in UPnP, Kneip, Li and Seo, ECCV 2014; variable
+projection, Golub and Pereyra, 1973). When the objective provides it
+(``reduced_rotation_quadric``, see ``PoseObjective``), ``solve_amm`` runs
+one rotation solve on that quadric to ``tol_rotation`` and then one exact
+translation solve, and stops: one outer iteration, on which ``tol_outer``,
+``max_outer_iters`` and the forcing schedule below do not act. GEC forms
+and objectives without the method alternate as described below.
+
 The rotation block is minimized on the SO(3) manifold by exact rotations
 x -> expm(skew(w)) x, so iterates cannot drift off the manifold; a
 re-projection every 50 steps absorbs accumulated rounding anyway. In the
@@ -103,10 +115,13 @@ _GENERATORS = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0],
 class AmmConfig:
     """Tolerances of the alternating solver.
 
-    tol_outer stops the outer loop on the absolute objective change;
+    tol_outer stops the outer loop on the absolute objective change, and
+    max_outer_iters caps it; neither acts on an objective with a reduced
+    rotation quadric, which ``solve_amm`` solves in one outer iteration.
     tol_rotation, a Frobenius threshold on the rotation step, is the
     floor of ``solve_amm``'s rotation tolerance schedule (see the module
-    docstring). tol_translation, an absolute threshold on the translation
+    docstring) and the tolerance of the reduced rotation solve.
+    tol_translation, an absolute threshold on the translation
     objective change, acts only on objectives without a translation
     quadric, whose translation block is solved by descent. Tolerances
     must be finite and positive, and max_outer_iters an integer of at
@@ -401,15 +416,34 @@ def translation_subsolve(objective: PoseObjective, translation_init, rotation_fi
     return x
 
 
+class _FixedRotationQuadric:
+    """A reduced rotation quadric as the rotation block reads it: the same
+    (P, q, k) at every translation."""
+
+    def __init__(self, quadric):
+        self._quadric = quadric
+
+    def rotation_quadric(self, translation):
+        return self._quadric
+
+
 def solve_amm(objective: PoseObjective, translation_init,
               config: AmmConfig = AmmConfig(), rotation_init=None) -> AmmResult:
-    """Alternate the two block solvers until the objective stalls.
+    """Alternate the two block solvers until the objective stalls, or
+    solve once on the reduced rotation quadric.
 
-    The rotation is solved first at the initial translation, warm-started
-    from ``rotation_init`` (identity when omitted) and thereafter from the
-    previous outer iterate; after the first outer iteration each rotation
-    solve runs to the forcing tolerance of the module docstring, never
-    below ``config.tol_rotation``. Stops when the objective changes by
+    With ``reduced_rotation_quadric`` (looked up by name, like the block
+    quadrics) the objective is minimized by one ``rotation_subsolve`` on
+    that quadric from ``rotation_init`` to ``config.tol_rotation`` and one
+    ``translation_subsolve`` at the rotation found: one outer iteration,
+    converged, keeping the start if the objective rose there. A singular
+    translation block raises PoseSolverError there too.
+
+    Otherwise the rotation is solved first at the initial translation,
+    warm-started from ``rotation_init`` (identity when omitted) and
+    thereafter from the previous outer iterate; after the first outer
+    iteration each rotation solve runs to the forcing tolerance of the
+    module docstring, never below ``config.tol_rotation``. Stops when the objective changes by
     less than ``config.tol_outer`` between outer iterations (converged),
     when an outer iteration would raise the objective (converged; the
     previous iterate is kept), or at the iteration cap (not converged). The final
@@ -424,12 +458,14 @@ def solve_amm(objective: PoseObjective, translation_init,
     f_prev = float(objective.value(r, t))
     if not np.isfinite(f_prev):
         raise PoseSolverError("objective is not finite at the initial guess")
+    reduced = getattr(objective, "reduced_rotation_quadric", None)
+    block = objective if reduced is None else _FixedRotationQuadric(reduced())
     trace = []
     converged = False
     outer = 0
     tol = config.tol_rotation
     for outer in range(1, config.max_outer_iters + 1):
-        r_new = rotation_subsolve(objective, r, t, tol)
+        r_new = rotation_subsolve(block, r, t, tol)
         t_new = translation_subsolve(objective, t, r_new, config)
         f = float(objective.value(r_new, t_new))
         if not np.isfinite(f):
@@ -445,7 +481,7 @@ def solve_amm(objective: PoseObjective, translation_init,
         tol = max(config.tol_rotation, _FORCING * math.sqrt(float(np.vdot(move, move))))
         r, t = r_new, t_new
         trace.append(f)
-        if f_prev - f < config.tol_outer:
+        if reduced is not None or f_prev - f < config.tol_outer:
             converged = True
             break
         f_prev = f

@@ -28,6 +28,10 @@ _FAMILIES = {name: (problem, rig) for name, problem, rig in bench.FAMILIES}
 _SOLVER_CHOICES = (bench.SOLVER_GEC, bench.SOLVER_GPNP, bench.SOLVER_UPNP)
 
 _MAX_NOISE_LEVELS = 10_000
+# A sweep keeps every record in memory (about 2 kB each, one per solver),
+# and a trial's scene and residual rows grow with its correspondences.
+_MAX_TRIAL_LEVELS = 100_000
+_MAX_POINTS = 100_000
 
 
 def _parse_noise_grid(spec: str):
@@ -80,9 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--init", choices=(bench.INIT_LINEAR, bench.INIT_IDENTITY),
                          default=bench.INIT_LINEAR)
     bench_p.add_argument("--tol", type=float, default=None,
-                         help="outer objective-change tolerance")
+                         help="outer objective-change tolerance; acts on "
+                              "amm-gec only, absolute solves do not alternate")
     bench_p.add_argument("--max-iters", type=int, default=None,
-                         help="outer iteration cap")
+                         help="outer iteration cap; acts on amm-gec only")
     bench_p.add_argument("--summary", action="store_true",
                          help="append per-level mean rows (trial column = -1)")
     bench_p.add_argument("--time", action="store_true",
@@ -96,8 +101,11 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--solver", required=True, choices=_SOLVER_CHOICES)
     solve_p.add_argument("--t0", default=None, metavar="X,Y,Z",
                          help="translation guess; skips the linear initializer")
-    solve_p.add_argument("--tol", type=float, default=None)
-    solve_p.add_argument("--max-iters", type=int, default=None)
+    solve_p.add_argument("--tol", type=float, default=None,
+                         help="outer objective-change tolerance; acts on "
+                              "amm-gec only, absolute solves do not alternate")
+    solve_p.add_argument("--max-iters", type=int, default=None,
+                         help="outer iteration cap; acts on amm-gec only")
     return parser
 
 
@@ -130,6 +138,13 @@ def _cmd_bench(args) -> int:
     if args.trials < 1 or args.points < 1 or args.seed < 0:
         print("error: trials and points must be >= 1 and seed >= 0",
               file=sys.stderr)
+        return 2
+    if args.trials * len(levels) > _MAX_TRIAL_LEVELS:
+        print(f"error: trials x noise levels must be at most {_MAX_TRIAL_LEVELS}",
+              file=sys.stderr)
+        return 2
+    if args.points > _MAX_POINTS:
+        print(f"error: points must be at most {_MAX_POINTS}", file=sys.stderr)
         return 2
     try:
         amm_config = _amm_config(args)

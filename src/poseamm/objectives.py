@@ -9,15 +9,18 @@ phi is linear in r = vec(R) at a fixed t and affine in t at a fixed R, so
 fixing either block leaves a quadric in the other. A lift supplies phi and
 these two restrictions of H (``rotation_quadric``, ``translation_quadric``),
 and the form takes both gradients and the exact translation minimizer
-(``translation_minimizer``) from them. The two lifts are the vec(R) lift
-of UPnP (Kneip, Li and Seo, ECCV 2014) and the generalized epipolar
-constraint (Pless, CVPR 2003).
+(``translation_minimizer``) from them. On the absolute lift the
+translation block does not depend on R, so the lift also eliminates t:
+min_t F is one fixed quadric in r (``reduced_rotation_quadric``). The two
+lifts are the vec(R) lift of UPnP (Kneip, Li and Seo, ECCV 2014) and the
+generalized epipolar constraint (Pless, CVPR 2003).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,14 +36,17 @@ class PoseObjective(ABC):
     of squared residuals, hence nonnegative up to rounding (a PSD quadric
     evaluated near its minimum may round a little below zero).
 
-    Objectives that are quadratic in each block may also provide two
+    Objectives that are quadratic in each block may also provide three
     optional methods, which the solver looks up by name:
 
       * ``rotation_quadric(translation) -> (P, q, k)`` with P a symmetric
         9x9 matrix, q a 9-vector and k a float such that
         value(R, t) = r'Pr + q'r + k for r = vec(R) at that translation;
       * ``translation_quadric(rotation) -> (A, b, k)`` with A a symmetric
-        3x3 matrix such that value(R, t) = t'At + b't + k at that rotation.
+        3x3 matrix such that value(R, t) = t'At + b't + k at that rotation;
+      * ``reduced_rotation_quadric() -> (P, q, k)`` such that
+        min_t value(R, t) = r'Pr + q'r + k for every rotation, which
+        exists when A does not depend on the rotation.
 
     Each block solve then builds its quadric once instead of calling
     ``value`` and the gradients. A translation quadric means an exact
@@ -49,7 +55,9 @@ class PoseObjective(ABC):
     definite. The rotation solve evaluates its trial points on the
     rotation quadric, which also gives the Riemannian Hessian over
     rotations, so it takes Newton steps and falls back to steepest
-    descent only where no Newton step is accepted. Without the quadrics
+    descent only where no Newton step is accepted. With a reduced
+    quadric the solver does not alternate: one rotation solve on it, then
+    one translation solve at the rotation found. Without the quadrics
     the solver uses ``value`` and the gradients throughout: gradient
     descent for the translation and steepest descent for every rotation
     step.
@@ -92,6 +100,23 @@ class AbsoluteLift:
         r = vec(rotation)
         return (h[9:12, 9:12], 2.0 * (h[9:12, :9] @ r + h[9:12, 12]),
                 float(r @ (h[:9, :9] @ r) + 2.0 * (h[12, :9] @ r) + h[12, 12]))
+
+    def reduced_rotation_quadric(self, h):
+        """(S_rr, 2 S_1r, S_11) of the Schur complement
+        S = H - H_:t H_tt^-1 H_t: of H_tt, on the rows and columns of r
+        and of the constant 1.
+
+        H_tt does not depend on R, so the minimizing translation
+        t = -H_tt^-1 (H_tr r + H_t1) is affine in r, and min_t phi'H phi
+        = x'Sx over x = (r, 1). H_tt^-1 is solved column by column with
+        the L D L' and the floor of ``translation_minimizer``, so a block
+        that is not positive definite relative to its own scale raises
+        PoseSolverError.
+        """
+        g = h[:, 9:12]
+        s = h - (g @ np.array(_solve_block(g[9:12], _UNIT_VECTORS))) @ g.T
+        p = s[:9, :9]
+        return 0.5 * (p + p.T), s[12, :9] + s[:9, 12], float(s[12, 12])
 
 
 class GecLift:
@@ -197,6 +222,14 @@ class QuadricForm(PoseObjective):
         """(A, b, k) with value(R, t) = t'At + b't + k at this rotation."""
         return self.lift.translation_quadric(self.h, rotation)
 
+    @property
+    def reduced_rotation_quadric(self):
+        """``() -> (P, q, k)`` with min_t value(R, t) = r'Pr + q'r + k, or
+        None on a lift that has no such quadric (``GEC_LIFT``), so that the
+        solver's lookup by name finds none there."""
+        reduced = getattr(self.lift, "reduced_rotation_quadric", None)
+        return None if reduced is None else partial(reduced, self.h)
+
     def rotation_gradient(self, rotation, translation) -> np.ndarray:
         p, q, _ = self.rotation_quadric(translation)
         return unvec(2.0 * (p @ vec(rotation)) + q)
@@ -219,11 +252,24 @@ def translation_minimizer(a, b) -> np.ndarray:
     definite relative to its own scale: every pivot of its L D L'
     factorization (``geometry.solve_symmetric_3x3``) must exceed 1e-12 |tr A|.
     """
-    (a00, a01, a02), (_, a11, a12), (_, _, a22) = np.asarray(a, dtype=float).tolist()
-    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
-    x = solve_symmetric_3x3(a00, a01, a02, a11, a12, a22, b0, b1, b2,
-                            1e-12 * abs(a00 + a11 + a22))
-    if x is None:
-        raise PoseSolverError(
-            "translation block is singular; no unique minimizer")
+    (x,) = _solve_block(a, [np.asarray(b, dtype=float).tolist()])
     return -0.5 * np.array(x)
+
+
+_UNIT_VECTORS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _solve_block(a, vectors) -> list:
+    """The solutions x of Ax = v, one per 3-vector v of ``vectors``, for the
+    symmetric 3x3 A (``geometry.solve_symmetric_3x3``); raises
+    PoseSolverError unless every pivot exceeds 1e-12 |tr A|."""
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = np.asarray(a, dtype=float).tolist()
+    floor = 1e-12 * abs(a00 + a11 + a22)
+    out = []
+    for v0, v1, v2 in vectors:
+        x = solve_symmetric_3x3(a00, a01, a02, a11, a12, a22, v0, v1, v2, floor)
+        if x is None:
+            raise PoseSolverError(
+                "translation block is singular; no unique minimizer")
+        out.append(x)
+    return out

@@ -1,10 +1,11 @@
-"""Shared helpers: deterministic random geometry, finite-difference oracles
-and the block-quadric check."""
+"""Shared helpers: deterministic random geometry, finite-difference oracles,
+the block-quadric check and a proxy that makes absolute forms alternate."""
 
 import numpy as np
 import pytest
 
 from poseamm.geometry import rodrigues_step, unvec, vec
+from poseamm.objectives import PoseObjective
 
 
 def random_rotation(rng, max_angle=np.pi):
@@ -60,6 +61,30 @@ def assert_block_quadrics_match(form, rotation, translation):
     np.testing.assert_allclose(2.0 * a @ translation + b,
                                form.translation_gradient(rotation, translation),
                                rtol=1e-12, atol=1e-12 * abs(value))
+
+
+class BlockQuadricsOnly(PoseObjective):
+    """Forward the contract methods and the two block quadrics only, hiding
+    ``reduced_rotation_quadric``: ``solve_amm`` then alternates on an
+    absolute form exactly as it does on a GEC form."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def value(self, rotation, translation):
+        return self.inner.value(rotation, translation)
+
+    def rotation_gradient(self, rotation, translation):
+        return self.inner.rotation_gradient(rotation, translation)
+
+    def translation_gradient(self, rotation, translation):
+        return self.inner.translation_gradient(rotation, translation)
+
+    def rotation_quadric(self, translation):
+        return self.inner.rotation_quadric(translation)
+
+    def translation_quadric(self, rotation):
+        return self.inner.translation_quadric(rotation)
 
 
 def relative_gradient_error(analytic, numeric):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rotation
+from conftest import BlockQuadricsOnly, random_rotation
 from poseamm import amm
 from poseamm.absolute import build_gpnp_form, build_upnp_form
 from poseamm.amm import (AmmConfig, rotation_subsolve, solve_amm,
@@ -357,20 +357,22 @@ class TestConfigFiniteness:
 
 class TestBlockQuadricPath:
     def test_minimum_matches_tight_reference_on_criterion_4_grid(self):
-        # The quadric path (Newton rotation steps, exact translation block)
-        # and the generic path (the form behind ContractOnly: steepest
-        # descent and translation descent) take different steps, so each
-        # path's minimum is judged against a reference solve on the same
-        # path from the same seed, run to a tight outer tolerance.
-        # Objectives are compared relative to the objective at the identity
-        # pose, the problem's own scale, and the stationarity of the
-        # returned pose relative to the gradient there.
+        # The alternation on block quadrics (Newton rotation steps, exact
+        # translation block; absolute forms behind BlockQuadricsOnly) and
+        # the generic path (the form behind ContractOnly: steepest descent
+        # and translation descent) take different steps, so each path's
+        # minimum is judged against a reference solve on the same path from
+        # the same seed, run to a tight outer tolerance. Objectives are
+        # compared relative to the objective at the identity pose, the
+        # problem's own scale, and the stationarity of the returned pose
+        # relative to the gradient there. TestReducedPath checks the
+        # default solve of absolute forms, which does not alternate.
         tight = AmmConfig(tol_outer=1e-15, max_outer_iters=2000)
         solves = 0
         for form, pose0 in _criterion_4_grid():
             scale = form.value(np.eye(3), np.zeros(3))
             gradient_scale = _stationarity(form, np.eye(3), np.zeros(3))
-            for objective in (form, ContractOnly(form)):
+            for objective in (BlockQuadricsOnly(form), ContractOnly(form)):
                 reference = solve_amm(objective, pose0.translation, tight,
                                       rotation_init=pose0.rotation)
                 result = solve_amm(objective, pose0.translation,
@@ -413,7 +415,10 @@ class TestBlockQuadricPath:
 
         monkeypatch.setattr(amm, "_rotation_block", recording_block)
         for form, pose0 in _criterion_4_grid():
-            solve_amm(form, pose0.translation, rotation_init=pose0.rotation)
+            # The default solve and the alternation, which takes more steps
+            # on absolute forms.
+            for objective in (form, BlockQuadricsOnly(form)):
+                solve_amm(objective, pose0.translation, rotation_init=pose0.rotation)
         assert len(rotations) > 1000
         for iterate in rotations:
             assert np.linalg.norm(iterate @ iterate.T - np.eye(3)) < 1e-9
@@ -445,10 +450,117 @@ class TestBlockQuadricPath:
         assert solves == 50
 
 
-def _grid_solves(forcing, wrap=lambda form: form):
+class MisleadingReducedQuadric(FrobeniusObjective):
+    """A reduced rotation quadric that pulls toward r_decoy, not r_star."""
+
+    def __init__(self, r_star, t_star, r_decoy):
+        super().__init__(r_star, t_star)
+        self.r_decoy = np.asarray(r_decoy, dtype=float)
+
+    def reduced_rotation_quadric(self):
+        return np.eye(9), -2.0 * vec(self.r_decoy), 3.0
+
+
+def _absolute_grid():
+    """(form, linear seed pose) of the absolute solves of the criterion-4 grid."""
+    return [(form, pose0) for form, pose0 in _criterion_4_grid()
+            if form.lift is ABSOLUTE_LIFT]
+
+
+class TestReducedPath:
+    def test_one_solve_reaches_the_tight_alternation(self):
+        # From the identity and from the linear seed the reduced solve
+        # returns the same rotation, and an objective no higher than the
+        # alternation reaches at a tight outer tolerance, relative to the
+        # objective at the identity pose.
+        tight = AmmConfig(tol_outer=1e-15, max_outer_iters=2000)
+        solves = 0
+        for form, pose0 in _absolute_grid():
+            scale = form.value(np.eye(3), np.zeros(3))
+            reference = solve_amm(BlockQuadricsOnly(form), pose0.translation, tight,
+                                  rotation_init=pose0.rotation)
+            linear = solve_amm(form, pose0.translation, rotation_init=pose0.rotation)
+            identity = solve_amm(form, np.zeros(3))
+            assert np.linalg.norm(linear.pose.rotation
+                                  - identity.pose.rotation) <= 1e-9
+            for result in (linear, identity):
+                assert result.outer_iterations == 1 and result.converged
+                assert (result.final_objective
+                        <= reference.final_objective + 1e-12 * scale)
+            solves += 1
+        assert solves == 72
+
+    def test_one_subsolve_per_block_through_the_module(self, monkeypatch):
+        # Both block solves are looked up on the module, once each, and a
+        # proxy that forwards attributes keeps the reduced path: the
+        # contract methods are called only for the start, outer and final
+        # values.
+        calls = []
+        for name in ("rotation_subsolve", "translation_subsolve"):
+            original = getattr(amm, name)
+
+            def recorded(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(amm, name, recorded)
+        for form, pose0 in _absolute_grid()[:6]:
+            direct = solve_amm(form, pose0.translation, rotation_init=pose0.rotation)
+            counter = CallCounter(form)
+            proxied = solve_amm(counter, pose0.translation, rotation_init=pose0.rotation)
+            assert proxied.objective_trace == direct.objective_trace
+            np.testing.assert_array_equal(proxied.pose.rotation, direct.pose.rotation)
+            assert counter.calls == {"value": 3, "rotation_gradient": 0,
+                                     "translation_gradient": 0}
+        assert calls == ["rotation_subsolve", "translation_subsolve"] * 12
+
+    def test_outer_settings_do_not_act(self):
+        loose = AmmConfig(tol_outer=1.0, max_outer_iters=1)
+        tight = AmmConfig(tol_outer=1e-15, max_outer_iters=2000)
+        for form, pose0 in _absolute_grid()[::9]:
+            results = [solve_amm(form, pose0.translation, config,
+                                 rotation_init=pose0.rotation)
+                       for config in (AmmConfig(), loose, tight)]
+            for result in results[1:]:
+                assert result.objective_trace == results[0].objective_trace
+                np.testing.assert_array_equal(result.pose.rotation,
+                                              results[0].pose.rotation)
+
+    def test_rise_keeps_the_start(self, rng):
+        r_star = random_rotation(rng)
+        t_star = rng.normal(size=3)
+        objective = MisleadingReducedQuadric(r_star, t_star, random_rotation(rng))
+        result = solve_amm(objective, t_star, rotation_init=r_star)
+        assert result.converged
+        assert result.outer_iterations == 1
+        assert result.objective_trace == ()
+        np.testing.assert_allclose(result.pose.rotation, r_star, atol=1e-12)
+        np.testing.assert_array_equal(result.pose.translation, t_star)
+
+    def test_gec_forms_alternate(self):
+        # GEC forms have no reduced quadric: the default solve is the
+        # alternation, bit for bit.
+        outer = []
+        for form, pose0 in _criterion_4_grid():
+            if form.lift is not GEC_LIFT:
+                continue
+            direct = solve_amm(form, pose0.translation, rotation_init=pose0.rotation)
+            alternation = solve_amm(BlockQuadricsOnly(form), pose0.translation,
+                                    rotation_init=pose0.rotation)
+            assert direct.objective_trace == alternation.objective_trace
+            assert direct.outer_iterations == alternation.outer_iterations
+            np.testing.assert_array_equal(direct.pose.rotation,
+                                          alternation.pose.rotation)
+            np.testing.assert_array_equal(direct.pose.translation,
+                                          alternation.pose.translation)
+            outer.append(direct.outer_iterations)
+        assert len(outer) == 18
+        assert sum(outer) > 3 * len(outer)
+
+
+def _grid_solves(forcing, wrap):
     """Solve the criterion-4 grid with ``amm._FORCING`` set to ``forcing``,
-    each form passed through ``wrap`` (``ContractOnly`` for the generic
-    path).
+    each form passed through ``wrap`` (``BlockQuadricsOnly`` for the
+    alternation on block quadrics, ``ContractOnly`` for the generic path).
 
     -> (results, rotation steps per solve, tolerance of every rotation
     subsolve, rotation steps per subsolve). A step is a gradient
@@ -485,7 +597,10 @@ def _grid_solves(forcing, wrap=lambda form: form):
 
 @pytest.fixture(scope="module")
 def forcing_runs():
-    return {"forced": _grid_solves(amm._FORCING), "unforced": _grid_solves(0.0),
+    # The schedule acts on the alternation, so absolute forms are solved
+    # behind BlockQuadricsOnly on the quadric path.
+    return {"forced": _grid_solves(amm._FORCING, BlockQuadricsOnly),
+            "unforced": _grid_solves(0.0, BlockQuadricsOnly),
             "generic forced": _grid_solves(amm._FORCING, ContractOnly),
             "generic unforced": _grid_solves(0.0, ContractOnly)}
 
@@ -554,7 +669,7 @@ class TestForcingSchedule:
             patch.setattr(amm, "rotation_subsolve", recording)
             for form, _ in itertools.islice(_criterion_4_grid(), 0, 90, 9):
                 start = len(seen)
-                solve_amm(form, np.zeros(3), config)
+                solve_amm(BlockQuadricsOnly(form), np.zeros(3), config)
                 assert seen[start] == 1e-5
         assert min(seen) == 1e-5
         assert max(seen) > 1e-5

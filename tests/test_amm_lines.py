@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_rotation
+from conftest import BlockQuadricsOnly, random_rotation
 from poseamm import amm
 from poseamm.absolute import build_gpnp_form, build_upnp_form
 from poseamm.amm import AmmConfig, solve_amm
@@ -145,6 +145,8 @@ def test_loop_slopes_are_the_gradient_along_the_step(monkeypatch):
     monkeypatch.setattr(amm, "_rotation_block", checking_block)
     for _, objective in _quadric_objectives()[:3]:
         solve_amm(objective, np.zeros(3))             # Newton axes
+        # Newton axes of the alternation, which absolute forms skip
+        solve_amm(BlockQuadricsOnly(objective), np.zeros(3))
         solve_amm(CallLog(objective), np.zeros(3))    # gradient axes, no quadric
     assert checked.count(False) > 50
     assert checked.count(True) > 100

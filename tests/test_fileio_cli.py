@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from poseamm import cli, fileio
+from poseamm import bench, cli, fileio
 from poseamm.absolute import PointRayCorrespondence
 from poseamm.bench import (SceneConfig, generate_absolute_scene,
                            generate_relative_scene, run_sweep)
@@ -243,6 +243,32 @@ class TestCliBench:
 
     def test_noise_grid_at_level_cap(self):
         assert len(cli._parse_noise_grid("0:1:9999")) == cli._MAX_NOISE_LEVELS
+
+    @staticmethod
+    def _size_error(capsys, monkeypatch, options):
+        # The bounds are checked before any scene or task list is built.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+        monkeypatch.setattr(bench, "run_sweep", unreachable)
+        monkeypatch.setattr(bench, "generate_absolute_scene", unreachable)
+        code = cli.main(["bench", "absolute-central"] + options)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        return captured.err
+
+    def test_trials_over_cap_exits_2(self, capsys, monkeypatch):
+        # 10**12 trials x 11 levels; 50_000 x 3 levels is just over the cap.
+        for trials, noise in (("1000000000000", "0:1:10"), ("50000", "0:1:2")):
+            err = self._size_error(capsys, monkeypatch,
+                                   ["--trials", trials, "--noise", noise])
+            assert f"at most {cli._MAX_TRIAL_LEVELS}" in err
+
+    def test_points_over_cap_exits_2(self, capsys, monkeypatch):
+        for points in ("100000000", str(cli._MAX_POINTS + 1)):
+            err = self._size_error(capsys, monkeypatch,
+                                   ["--trials", "1", "--points", points])
+            assert f"points must be at most {cli._MAX_POINTS}" in err
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

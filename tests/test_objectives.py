@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import (assert_block_quadrics_match, fd_rotation_gradient,
-                      fd_translation_gradient, random_pose_arrays,
+                      fd_translation_gradient, random_pose_arrays, random_rotation,
                       relative_gradient_error)
 from poseamm.absolute import build_gpnp_form, build_upnp_form, gpnp_rows, upnp_rows
 from poseamm.bench import SceneConfig, generate_absolute_scene, generate_relative_scene
 from poseamm.exceptions import PoseSolverError
+from poseamm.geometry import vec
 from poseamm.objectives import ABSOLUTE_LIFT, GEC_LIFT, QuadricForm
 from poseamm.relative import build_gec_form, gec_rows
 
@@ -141,6 +142,45 @@ class TestClosedFormTranslation:
             truth, corrs = generate_relative_scene(SceneConfig(seed=seed))
             t = build_gec_form(corrs).closed_form_translation(truth.rotation)
             assert np.linalg.norm(t - truth.translation) < 1e-8
+
+
+class TestReducedRotationQuadric:
+    @pytest.mark.parametrize("rig", ["central", "non_central"])
+    def test_is_the_objective_at_the_exact_translation(self, rng, rig):
+        # r'Pr + q'r + k = F(R, t*(R)) for any R, with t*(R) the exact
+        # translation minimizer, relative to F at the identity pose.
+        for seed in range(10):
+            _, corrs = generate_absolute_scene(
+                SceneConfig(seed=seed, noise_sigma_px=2.0 * (seed % 3), rig=rig))
+            for form in (build_gpnp_form(corrs), build_upnp_form(corrs)):
+                p, q, k = form.reduced_rotation_quadric()
+                np.testing.assert_array_equal(p, p.T)
+                scale = form.value(np.eye(3), np.zeros(3))
+                for _ in range(10):
+                    rotation = random_rotation(rng)
+                    r = vec(rotation)
+                    exact = form.value(rotation, form.closed_form_translation(rotation))
+                    assert abs(r @ p @ r + q @ r + k - exact) <= 1e-12 * scale
+
+    def test_random_forms(self, rng):
+        for _ in range(20):
+            form = random_form(rng, scale=10.0 ** rng.uniform(-3, 3))
+            p, q, k = form.reduced_rotation_quadric()
+            rotation = random_rotation(rng)
+            r = vec(rotation)
+            exact = form.value(rotation, form.closed_form_translation(rotation))
+            assert r @ p @ r + q @ r + k == pytest.approx(exact, rel=1e-10)
+
+    def test_singular_block_raises(self):
+        form = absolute_form(tt=np.diag([1.0, 1.0, 0.0]))
+        with pytest.raises(PoseSolverError,
+                           match="^translation block is singular; no unique minimizer$"):
+            form.reduced_rotation_quadric()
+
+    def test_none_on_gec_forms(self, rng):
+        _, corrs = generate_relative_scene(SceneConfig(seed=1))
+        for form in (build_gec_form(corrs), random_form(rng, lift=GEC_LIFT)):
+            assert getattr(form, "reduced_rotation_quadric", None) is None
 
 
 class TestFormValidation:

@@ -29,3 +29,8 @@ def test_counts_on_the_acceptance_protocol(capsys):
     for family in report["families"].values():
         assert family["outer_iterations_per_solve"] == family["subsolves_per_solve"]
     assert counts["outer_iterations_per_solve"] <= 10
+    # An absolute solve is one counted subsolve, on its reduced quadric.
+    for name, problem, _ in bench.FAMILIES:
+        if problem == bench.PROBLEM_ABSOLUTE:
+            assert report["families"][name]["subsolves_per_solve"] == 1.0
+            assert report["families"][name]["gradients_per_solve"] >= 1.0

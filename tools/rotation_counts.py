@@ -19,7 +19,9 @@ of counts:
   that returned.
 
 The wrapper only counts, so the solves are the sweep's own. The
-counts are per family and over all solves.
+counts are per family and over all solves. An absolute solve, which runs
+one rotation subsolve on its reduced quadric, counts as one subsolve and
+one outer iteration.
 """
 
 from __future__ import annotations
