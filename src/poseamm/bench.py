@@ -8,6 +8,13 @@ world points sit 4-8 scene units out, non-central camera offsets span
 randomness flows from the configured seed; every trial draws from its own
 generator seeded by (seed, noise level index, trial index), so sweeps are
 reproducible regardless of execution order or worker count.
+
+After the pose (axis, angle, translation), scenes draw per point the offset
+(``uniform(size=3)``, non-central only), direction (``normal(size=3)``) and
+depth (``uniform``), on relative scenes camera 2's offset (redrawing all four
+while the point is too close to it), then ``normal(size=2)`` per noisy
+bearing. That order is part of the protocol; all arithmetic but the retry
+test runs once per scene and rounds like the per-point expressions.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 from .absolute import PointRaySet, build_gpnp_form, build_upnp_form
 from .amm import AmmConfig, AmmResult, solve_amm
 from .exceptions import PoseSolverError
-from .geometry import Pose, rodrigues_step
+from .geometry import Pose, rodrigues_step, row_norms
 from .initializers import init_absolute_linear, init_identity, init_relative_17pt
 from .relative import RayPairSet, build_gec_form
 
@@ -81,6 +88,11 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("noise_sigma_px", "focal_px", "rig_extent", "point_depth_range",
+                     "rotation_max_angle", "translation_extent"):
+            value = getattr(self, name)
+            if not all(map(math.isfinite, value if name == "point_depth_range" else [value])):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.num_correspondences < 1:
             raise ValueError("num_correspondences must be at least 1")
         if self.noise_sigma_px < 0 or self.focal_px <= 0:
@@ -113,24 +125,16 @@ class TrialRecord:
     converged: bool
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
-def _cross(a, b) -> np.ndarray:
-    """a x b of two 3-vectors, with the products and differences np.cross
-    forms, at a fraction of its per-call cost."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.normal(size=3)
-        n = float(np.linalg.norm(v))
+        n = math.sqrt(v.dot(v))     # float(np.linalg.norm(v)), as it rounds
         if n > 1e-12:
             return v / n
+
+
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    return a / row_norms(a)[:, None]
 
 
 def random_pose(rng: np.random.Generator, config: SceneConfig) -> Pose:
@@ -139,6 +143,16 @@ def random_pose(rng: np.random.Generator, config: SceneConfig) -> Pose:
     angle = rng.uniform(0.0, config.rotation_max_angle)
     ext = config.translation_extent
     return Pose(rodrigues_step(axis, angle), rng.uniform(-ext, ext, size=3))
+
+
+def _pixel_noise_rows(bearings: np.ndarray, draws: np.ndarray,
+                      focal_px: float) -> np.ndarray:
+    """The pixel-noise model on (N, 3) unit bearings and their (N, 2)
+    tangent offsets in pixels."""
+    helper = np.eye(3)[np.abs(bearings).argmin(axis=1)]
+    e1 = _unit_rows(np.cross(bearings, helper))
+    e2 = np.cross(bearings, e1)
+    return _unit_rows(bearings + (draws[:, :1] * e1 + draws[:, 1:] * e2) / focal_px)
 
 
 def apply_pixel_noise(bearing, sigma_px: float, focal_px: float,
@@ -153,12 +167,8 @@ def apply_pixel_noise(bearing, sigma_px: float, focal_px: float,
     b = np.asarray(bearing, dtype=float)
     if sigma_px == 0.0:
         return b
-    helper = np.zeros(3)
-    helper[int(np.argmin(np.abs(b)))] = 1.0
-    e1 = _unit(_cross(b, helper))
-    e2 = _cross(b, e1)
-    dx, dy = rng.normal(0.0, sigma_px, size=2)
-    return _unit(b + (dx * e1 + dy * e2) / focal_px)
+    draws = rng.normal(0.0, sigma_px, size=2)
+    return _pixel_noise_rows(b[None], draws[None], focal_px)[0]
 
 
 def _camera_offset(rng: np.random.Generator, config: SceneConfig) -> np.ndarray:
@@ -177,17 +187,17 @@ def generate_absolute_scene(config: SceneConfig,
     """
     rng = np.random.default_rng(config.seed) if rng is None else rng
     truth = random_pose(rng, config)
-    n = config.num_correspondences
-    points, bearings, offsets = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
+    n, sigma = config.num_correspondences, config.noise_sigma_px
+    offsets, bearings, depths, noise = (np.empty((n, k)) for k in (3, 3, 1, 2))
     for i in range(n):
-        offset = _camera_offset(rng, config)
-        bearing = _random_unit(rng)
-        depth = rng.uniform(*config.point_depth_range)
-        cam_point = offset + depth * bearing
-        points[i] = truth.rotation.T @ (cam_point - truth.translation)
-        bearings[i] = apply_pixel_noise(bearing, config.noise_sigma_px,
-                                        config.focal_px, rng)
-        offsets[i] = offset
+        offsets[i] = _camera_offset(rng, config)
+        bearings[i] = _random_unit(rng)
+        depths[i] = rng.uniform(*config.point_depth_range)
+        if sigma != 0.0:
+            noise[i] = rng.normal(0.0, sigma, size=2)
+    points = (offsets + depths * bearings - truth.translation) @ truth.rotation
+    if sigma != 0.0:
+        bearings = _pixel_noise_rows(bearings, noise, config.focal_px)
     return truth, PointRaySet(points, bearings, offsets)
 
 
@@ -205,24 +215,27 @@ def generate_relative_scene(config: SceneConfig,
     rng = np.random.default_rng(config.seed) if rng is None else rng
     truth = random_pose(rng, config)
     min_distance = _MIN_CAMERA_DISTANCE_RATIO * config.point_depth_range[0]
-    n = config.num_correspondences
-    d1, m1, d2, m2 = (np.empty((n, 3)) for _ in range(4))
+    n, sigma = config.num_correspondences, config.noise_sigma_px
+    offsets, dirs, noise = (np.empty((2 * n, k)) for k in (3, 3, 2))
     for i in range(n):
         while True:
             offset1 = _camera_offset(rng, config)
             dir1 = _random_unit(rng)
             depth = rng.uniform(*config.point_depth_range)
-            point1 = offset1 + depth * dir1
-            point2 = truth.rotation.T @ (point1 - truth.translation)
             offset2 = _camera_offset(rng, config)
-            if np.linalg.norm(point2 - offset2) >= min_distance:
+            point2 = truth.rotation.T @ (offset1 + depth * dir1 - truth.translation)
+            ray2 = point2 - offset2
+            if math.sqrt(ray2.dot(ray2)) >= min_distance:
                 break
-        dir2 = _unit(point2 - offset2)
-        dir1 = apply_pixel_noise(dir1, config.noise_sigma_px, config.focal_px, rng)
-        dir2 = apply_pixel_noise(dir2, config.noise_sigma_px, config.focal_px, rng)
-        d1[i], m1[i] = dir1, _cross(offset1, dir1)
-        d2[i], m2[i] = dir2, _cross(offset2, dir2)
-    return truth, RayPairSet(d1, m1, d2, m2)
+        offsets[i], dirs[i], offsets[n + i], dirs[n + i] = offset1, dir1, offset2, ray2
+        if sigma != 0.0:
+            noise[i] = rng.normal(0.0, sigma, size=2)
+            noise[n + i] = rng.normal(0.0, sigma, size=2)
+    dirs[n:] = _unit_rows(dirs[n:])
+    if sigma != 0.0:
+        dirs = _pixel_noise_rows(dirs, noise, config.focal_px)
+    moments = np.cross(offsets, dirs)
+    return truth, RayPairSet(dirs[:n], moments[:n], dirs[n:], moments[n:])
 
 
 def pose_errors(truth: Pose, estimate: Pose):

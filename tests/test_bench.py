@@ -82,6 +82,20 @@ class TestSceneGeneration:
         with pytest.raises(ValueError):
             SceneConfig(point_depth_range=(5.0, 4.0))
 
+    @pytest.mark.parametrize("name,value", [
+        ("noise_sigma_px", float("nan")), ("noise_sigma_px", float("inf")),
+        ("focal_px", float("inf")), ("focal_px", float("nan")),
+        ("rig_extent", float("inf")), ("rig_extent", float("nan")),
+        ("point_depth_range", (4.0, float("inf"))),
+        ("point_depth_range", (float("nan"), 8.0)),
+        ("point_depth_range", (-float("inf"), 8.0)),
+        ("rotation_max_angle", float("nan")),
+        ("translation_extent", float("inf")), ("translation_extent", float("nan")),
+    ])
+    def test_config_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SceneConfig(**{name: value})
+
 
 class TestPixelNoise:
     def test_zero_sigma_exact(self, rng):

@@ -2,22 +2,78 @@
 single conversion point and the generators that fill them."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from poseamm import PointRaySet, RayPairSet
+from poseamm import PointRaySet, RayPairSet, bench
 from poseamm.absolute import PointRayCorrespondence
-from poseamm.bench import (RIG_CENTRAL, RIG_NON_CENTRAL, SceneConfig, _camera_offset,
-                           _cross, _MIN_CAMERA_DISTANCE_RATIO, _random_unit,
-                           apply_pixel_noise, generate_absolute_scene,
-                           generate_relative_scene, random_pose)
-from poseamm.geometry import ObservedRay, PlueckerLine
+from poseamm.bench import (FAMILIES, INIT_IDENTITY, INIT_LINEAR, RIG_CENTRAL,
+                           RIG_NON_CENTRAL, SceneConfig, _MIN_CAMERA_DISTANCE_RATIO,
+                           generate_absolute_scene,
+                           generate_relative_scene, run_sweep)
+from poseamm.fileio import records_to_csv
+from poseamm.geometry import ObservedRay, PlueckerLine, Pose, rodrigues_step
 from poseamm.relative import RayCorrespondence
+
+# The per-point helpers of the generator that built each scene one point
+# at a time, frozen verbatim: the oracles below compare the shipped
+# generators with this arithmetic, not with the code under test.
 
 
 def _unit(v):
     return v / np.linalg.norm(v)
+
+
+def _cross(a, b) -> np.ndarray:
+    """a x b of two 3-vectors, with the products and differences np.cross
+    forms, at a fraction of its per-call cost."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _random_unit(rng: np.random.Generator) -> np.ndarray:
+    while True:
+        v = rng.normal(size=3)
+        n = float(np.linalg.norm(v))
+        if n > 1e-12:
+            return v / n
+
+
+def random_pose(rng: np.random.Generator, config: SceneConfig) -> Pose:
+    """Rotation axis uniform on the sphere, angle and translation uniform."""
+    axis = _random_unit(rng)
+    angle = rng.uniform(0.0, config.rotation_max_angle)
+    ext = config.translation_extent
+    return Pose(rodrigues_step(axis, angle), rng.uniform(-ext, ext, size=3))
+
+
+def apply_pixel_noise(bearing, sigma_px: float, focal_px: float,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Perturb a unit bearing by Gaussian pixel noise in its tangent plane.
+
+    Independent offsets with standard deviation ``sigma_px`` are applied
+    to the two tangent coordinates scaled at distance ``focal_px``, then
+    the result is renormalized; per-axis angular deviation is therefore
+    sigma_px / focal_px radians. Zero sigma returns the input unchanged.
+    """
+    b = np.asarray(bearing, dtype=float)
+    if sigma_px == 0.0:
+        return b
+    helper = np.zeros(3)
+    helper[int(np.argmin(np.abs(b)))] = 1.0
+    e1 = _unit(_cross(b, helper))
+    e2 = _cross(b, e1)
+    dx, dy = rng.normal(0.0, sigma_px, size=2)
+    return _unit(b + (dx * e1 + dy * e2) / focal_px)
+
+
+def _camera_offset(rng: np.random.Generator, config: SceneConfig) -> np.ndarray:
+    if config.rig == RIG_CENTRAL:
+        return np.zeros(3)
+    return rng.uniform(-config.rig_extent, config.rig_extent, size=3)
 
 
 def record_generate_absolute(config, rng):
@@ -180,7 +236,8 @@ def np_cross_generate_relative(config, rng):
 
 
 class TestGeneratorsMatchNpCross:
-    """The generators' scalar cross product leaves every array bit-identical."""
+    """The generators' cross products on stacked rows leave every array
+    bit-identical."""
 
     def test_cross_matches_np_cross(self):
         rng = np.random.default_rng(9)
@@ -188,8 +245,10 @@ class TestGeneratorsMatchNpCross:
         vectors += [np.array(v) for v in ([0.0, -0.0, 1.0], [-1.0, 0.0, 0.0],
                                           [0.0, 0.0, 0.0], [-0.0, -2.5, 0.0])]
         for a in vectors[::7]:
-            for b in vectors:
+            rows = np.cross(np.tile(a, (len(vectors), 1)), np.array(vectors))
+            for b, row in zip(vectors, rows):
                 assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
+                assert row.tobytes() == np.cross(a, b).tobytes()
 
     @pytest.mark.parametrize("rig", [RIG_CENTRAL, RIG_NON_CENTRAL])
     @pytest.mark.parametrize("noise", [0.0, 3.0])
@@ -208,6 +267,59 @@ class TestGeneratorsMatchNpCross:
             assert truth.translation.tobytes() == ref_truth.translation.tobytes()
             for name, want in zip(names, ref):
                 assert getattr(corrs, name).tobytes() == want.tobytes(), name
+
+
+class TestRetriesAndSweeps:
+    """The min-distance retry and whole sweeps draw as the per-point loop did."""
+
+    @pytest.mark.parametrize("rig", [RIG_CENTRAL, RIG_NON_CENTRAL])
+    @pytest.mark.parametrize("noise", [0.0, 2.0])
+    def test_relative_retries_match_record_loop(self, rig, noise, monkeypatch):
+        # Depths comparable to the translation put points near camera 2.
+        attempts, frozen_offset = [], _camera_offset
+
+        def counting_offset(rng, config):
+            attempts.append(1)
+            return frozen_offset(rng, config)
+
+        monkeypatch.setattr(sys.modules[__name__], "_camera_offset", counting_offset)
+        retries = 0
+        for seed in range(4):
+            config = SceneConfig(num_correspondences=200, noise_sigma_px=noise, rig=rig,
+                                 point_depth_range=(2.0, 2.2), translation_extent=2.0,
+                                 seed=seed)
+            attempts.clear()
+            ref_truth, ref = np_cross_generate_relative(config,
+                                                        np.random.default_rng(seed))
+            retries += len(attempts) // 2 - config.num_correspondences
+            truth, corrs = generate_relative_scene(config)
+            assert truth.rotation.tobytes() == ref_truth.rotation.tobytes()
+            assert truth.translation.tobytes() == ref_truth.translation.tobytes()
+            for name, want in zip(("d1", "m1", "d2", "m2"), ref):
+                assert getattr(corrs, name).tobytes() == want.tobytes(), name
+        assert retries >= 1
+
+    @pytest.mark.parametrize("init", [INIT_LINEAR, INIT_IDENTITY])
+    @pytest.mark.parametrize("family,problem,rig", FAMILIES)
+    def test_sweep_bytes_match_record_loop(self, family, problem, rig, init, monkeypatch):
+        config = SceneConfig(rig=rig, seed=1234567)
+
+        def sweep():
+            return records_to_csv(run_sweep(config, problem, [0.0, 4.0, 10.0], 8,
+                                            init=init, measure_time=False))
+
+        def frozen(oracle, set_type):
+            def generate(scene_config, rng):
+                truth, arrays = oracle(scene_config, rng)
+                return truth, set_type(*arrays)
+            return generate
+
+        shipped = sweep()
+        monkeypatch.setattr(bench, "generate_relative_scene",
+                            frozen(np_cross_generate_relative, RayPairSet))
+        monkeypatch.setattr(bench, "generate_absolute_scene",
+                            frozen(np_cross_generate_absolute, PointRaySet))
+        assert sweep() == shipped
 
 
 class TestRowChecks:
