@@ -7,7 +7,7 @@ world points sit 4-8 scene units out, non-central camera offsets span
 +-0.5 units, translations +-2 units and rotation angles up to pi/2. All
 randomness flows from the configured seed; every trial draws from its own
 generator seeded by (seed, noise level index, trial index), so sweeps are
-reproducible regardless of execution order or worker count.
+reproducible regardless of execution order.
 
 After the pose (axis, angle, translation), scenes draw per point the offset
 (``uniform(size=3)``, non-central only), direction (``normal(size=3)``) and
@@ -20,11 +20,8 @@ test runs once per scene and rounds like the per-point expressions.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -58,8 +55,6 @@ FAMILIES = (
 
 INIT_LINEAR = "linear"
 INIT_IDENTITY = "identity"
-
-THREADS_ENV = "POSEAMM_THREADS"
 
 # Relative scenes reject points closer to the second camera center than
 # this share of the nearest point depth (1.0 at the default depths); a
@@ -323,9 +318,9 @@ def _failed_record(sigma: float, trial: int, solver: str, elapsed: int) -> Trial
         final_objective=math.inf, converged=False)
 
 
-def _run_trial(task, base_config: SceneConfig, problem: str, solvers,
+def _run_trial(level_index: int, sigma: float, trial: int,
+               base_config: SceneConfig, problem: str, solvers,
                init: str, amm_config: AmmConfig, measure_time: bool):
-    level_index, sigma, trial = task
     config = dataclasses.replace(base_config, noise_sigma_px=sigma)
     rng = np.random.default_rng([base_config.seed, level_index, trial])
     if problem == PROBLEM_RELATIVE:
@@ -358,26 +353,10 @@ def _run_trial(task, base_config: SceneConfig, problem: str, solvers,
     return records
 
 
-def _worker_count(max_workers: Optional[int]) -> int:
-    """Worker processes for a sweep, never more than the cores: a pool
-    forks all of its workers on the first task."""
-    cores = os.cpu_count() or 1
-    if max_workers is not None:
-        return min(cores, max(1, int(max_workers)))
-    env = os.environ.get(THREADS_ENV)
-    if env is None:
-        return 1
-    if not env.strip().isdecimal():
-        raise ValueError(f"{THREADS_ENV} must be a nonnegative integer, got {env!r}")
-    n = int(env)
-    return cores if n == 0 else min(cores, n)
-
-
 def run_sweep(base_config: SceneConfig, problem: str, noise_levels: Sequence[float],
               trials: int, solvers: Optional[Sequence[str]] = None,
               init: str = INIT_LINEAR, amm_config: Optional[AmmConfig] = None,
-              measure_time: bool = True,
-              max_workers: Optional[int] = None) -> list:
+              measure_time: bool = True) -> list:
     """One TrialRecord per (noise level, trial, solver).
 
     Every solver sees the same scene within a trial. Timing wraps the
@@ -385,9 +364,7 @@ def run_sweep(base_config: SceneConfig, problem: str, noise_levels: Sequence[flo
     ``measure_time=False`` to record zeros instead, which makes repeated
     sweeps byte-identical. Solver failures, and solves whose objective
     trace rose by more than rounding, become non-converged records with
-    infinite errors; they never abort the sweep. Worker processes:
-    ``max_workers`` if given, else the POSEAMM_THREADS environment
-    variable (0 = all cores), else serial; never more than the cores.
+    infinite errors; they never abort the sweep.
     """
     if problem not in (PROBLEM_ABSOLUTE, PROBLEM_RELATIVE):
         raise ValueError(f"unknown problem kind {problem!r}")
@@ -400,17 +377,8 @@ def run_sweep(base_config: SceneConfig, problem: str, noise_levels: Sequence[flo
     if trials < 1:
         raise ValueError("trials must be at least 1")
     amm_config = AmmConfig() if amm_config is None else amm_config
-    tasks = [(level_index, float(sigma), trial)
-             for level_index, sigma in enumerate(noise_levels)
-             for trial in range(trials)]
-    workers = _worker_count(max_workers)
-    run_one = functools.partial(_run_trial, base_config=base_config, problem=problem,
-                                solvers=tuple(solvers), init=init,
-                                amm_config=amm_config, measure_time=measure_time)
-    if workers > 1 and len(tasks) >= 4:
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(run_one, tasks, chunksize=chunk))
-    else:
-        grouped = [run_one(task) for task in tasks]
-    return [record for group in grouped for record in group]
+    return [record
+            for level_index, sigma in enumerate(noise_levels)
+            for trial in range(trials)
+            for record in _run_trial(level_index, float(sigma), trial, base_config,
+                                     problem, solvers, init, amm_config, measure_time)]

@@ -148,7 +148,6 @@ def _cmd_bench(args) -> int:
         return 2
     try:
         amm_config = _amm_config(args)
-        bench._worker_count(None)  # POSEAMM_THREADS
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -60,37 +60,38 @@ def init_relative_17pt(corrs: Sequence[RayCorrespondence]) -> Pose:
 def init_absolute_linear(form: QuadricForm) -> Pose:
     """Unconstrained stationary point of an absolute form, projected to SO(3).
 
-    Solves the joint 12x12 linear stationarity system 2 H_xx x = -2 H_x1 of
-    phi'H phi in x = (vec(R), t), phi = [x; 1], ignoring orthonormality,
-    then projects the rotation block and recomputes the translation
-    exactly at the projected rotation. Twelve unknowns need at least six
-    correspondences; fewer leave the system singular and raise
-    PoseSolverError. A form over another lift raises ValueError.
+    With t eliminated, min_t phi'H phi = r'Pr + q'r + k over r = vec(R)
+    (``reduced_rotation_quadric``, the Schur complement of H_tt). The seed
+    solves its stationarity system 2 P r = -q, ignoring orthonormality,
+    then projects r to SO(3) and recomputes the translation exactly at the
+    projected rotation. Twelve unknowns need at least six correspondences;
+    fewer leave P singular and raise PoseSolverError. A form over another
+    lift raises ValueError.
 
-    Single-center data makes the form homogeneous (no linear terms), which
-    turns the stationarity system into a gauge problem: every multiple of
-    the true (vec(R), t) is stationary. That case is solved on the unit
-    sphere instead, via the eigenvector of the smallest eigenvalue, with
-    the scale and sign restored by the SO(3) projection.
+    Single-center data makes the reduced quadric homogeneous (q = 0),
+    which turns stationarity into a gauge problem: every multiple of the
+    true vec(R) is stationary. That case is solved on the unit sphere
+    instead, via the eigenvector of the smallest eigenvalue of P, with the
+    scale and sign restored by the SO(3) projection. Every rank test is
+    relative to the largest eigenvalue of P, and P and q share the units
+    of the objective, so rescaling the scene leaves the seed unchanged.
     """
     if form.h.shape != (13, 13):
         raise ValueError("init_absolute_linear needs a form over phi = [vec(R); t; 1]")
-    k = 2.0 * form.h[:12, :12]
-    rhs = -2.0 * form.h[:12, 12]
-    svals = np.linalg.svd(k, compute_uv=False)
-    if np.linalg.norm(rhs) <= 1e-12 * max(1.0, svals[0]):
-        eigvals, eigvecs = np.linalg.eigh(k)
-        if eigvals[1] - eigvals[0] <= 1e-10 * max(1.0, eigvals[-1]):
+    p, q, _ = form.reduced_rotation_quadric()
+    eigvals, eigvecs = np.linalg.eigh(p)
+    if np.linalg.norm(q) <= 1e-12 * eigvals[-1]:
+        if eigvals[1] - eigvals[0] <= 1e-10 * eigvals[-1]:
             raise PoseSolverError(
                 "homogeneous stationarity system has no unique direction")
-        sol = eigvecs[:, 0]
-        if np.linalg.det(unvec(sol[:9])) < 0.0:
-            sol = -sol
+        r = eigvecs[:, 0]
+        if np.linalg.det(unvec(r)) < 0.0:
+            r = -r
     else:
-        if svals[-1] < 1e-12:
+        if eigvals[0] <= 1e-12 * eigvals[-1]:
             raise PoseSolverError(
                 "stationarity system is singular (planar or degenerate data)")
-        sol = np.linalg.solve(k, rhs)
-    rotation = project_to_so3(unvec(sol[:9]))
+        r = np.linalg.solve(p, -0.5 * q)
+    rotation = project_to_so3(unvec(r))
     translation = form.closed_form_translation(rotation)
     return Pose(rotation, translation)

@@ -1,5 +1,8 @@
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -701,11 +704,15 @@ class TestInvalidSolverOptions:
         assert captured.err.startswith("error: ") and message in captured.err
 
 
-@pytest.mark.parametrize("value", ["abc", "-1"])
-def test_bad_thread_count_exits_2(monkeypatch, capsys, value):
-    monkeypatch.setenv("POSEAMM_THREADS", value)
-    code = cli.main(["bench", "absolute-central", "--trials", "1", "--noise", "0:1:0"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "POSEAMM_THREADS" in captured.err
+def test_import_loads_no_process_machinery():
+    # Sweeps run in one process, so importing the CLI must not pay for
+    # the process-pool modules.
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = ("import sys, poseamm.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from poseamm.absolute import PointRayCorrespondence, build_gpnp_form, build_upnp_form
+from poseamm.absolute import (PointRayCorrespondence, PointRaySet, build_gpnp_form,
+                              build_upnp_form)
 from poseamm.amm import AmmConfig, solve_amm
 from poseamm.bench import (SceneConfig, generate_absolute_scene,
                            generate_relative_scene, pose_errors)
@@ -114,6 +115,22 @@ class TestInitAbsoluteLinear:
             else:
                 rot_err, _ = pose_errors(truth, init_absolute_linear(form))
                 assert rot_err < 1e-6
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e5])
+    @pytest.mark.parametrize("rig", ["central", "non_central"])
+    @pytest.mark.parametrize("build", [build_gpnp_form, build_upnp_form])
+    def test_seed_independent_of_scene_units(self, build, rig, scale):
+        # P and q of the reduced quadric scale alike, so a scene in other
+        # units gets the same rotation and a translation in those units.
+        for seed in range(5):
+            _, corrs = generate_absolute_scene(
+                SceneConfig(seed=seed, rig=rig, noise_sigma_px=2.0))
+            base = init_absolute_linear(build(corrs))
+            scaled = PointRaySet(corrs.points * scale, corrs.bearings,
+                                 corrs.offsets * scale)
+            pose = init_absolute_linear(build(scaled))
+            assert np.abs(pose.rotation - base.rotation).max() <= 1e-12
+            assert np.abs(pose.translation / scale - base.translation).max() <= 1e-12
 
     def test_result_satisfies_pose_invariants(self):
         _, corrs = generate_absolute_scene(SceneConfig(seed=11, noise_sigma_px=8.0))

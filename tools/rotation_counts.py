@@ -109,7 +109,7 @@ def main(argv=None) -> int:
             bench.solve_amm = counted_solve
             bench.run_sweep(bench.SceneConfig(seed=args.seed, rig=rig), problem,
                             NOISE_LEVELS, args.trials, init=args.init,
-                            measure_time=False, max_workers=1)
+                            measure_time=False)
             report["families"][name] = summarize(per_solve)
             everything += per_solve
     finally:
