@@ -27,8 +27,8 @@ the unrolled 3x3 L D L' of ``geometry.solve_symmetric_3x3``. The step
 is tried once, at the angle |w| about w / |w|, and kept if it decreases
 the block objective by at least a'w / 4, half the decrease its quadratic
 model predicts. It compares no quantity with an absolute threshold, so
-scaling the objective leaves it unchanged; the floors on |a|
-(``_RATE_FLOOR``, ``_AXIS_FLOOR``) end steepest descent only.
+scaling the objective leaves it unchanged; the floor on |a|
+(``_AXIS_FLOOR``) ends steepest descent only.
 
 Otherwise (no quadric, Hn not positive definite, |w| >= pi, or the
 Newton trial rejected) the step is steepest descent as in Abrudan,
@@ -98,7 +98,6 @@ _MU_MIN = 1e-16          # below this the step has collapsed; keep the current i
 _INITIAL_MU = 1.0        # first steepest-descent step of each rotation solve
 _INITIAL_ALPHA = 1e-3    # first step length of each translation descent
 _FORCING = 1e-2          # rotation tolerance per radian the last outer iteration moved R
-_RATE_FLOOR = 1e-30      # squared-gradient scale treated as a stationary rotation
 _GRAD_DELTA_FLOOR = 1e-16  # gradient changes below this mean the descent is done
 _REPROJECT_EVERY = 50
 _INNER_CAP = 100_000     # safety net; unreachable on objectives bounded below
@@ -332,8 +331,6 @@ def rotation_subsolve(objective: PoseObjective, rotation_init, translation_fixed
             else:
                 newton = None
         if newton is None:
-            if rate < _RATE_FLOOR:
-                break
             n = math.sqrt(rate)
             if n < _AXIS_FLOOR:
                 break                         # no step direction: every trial is x
