@@ -2,7 +2,9 @@
 
 Linear least-squares estimates stand in for minimal solvers here: on
 inlier-only data they are accurate enough to seed gradient descent, and
-they need no polynomial machinery.
+they need no polynomial machinery. Where a seed's system is homogeneous
+(the 17-point seed always, the absolute seed on single-center data), both
+take the null direction of a folded quadric through ``_null_direction``.
 """
 
 from __future__ import annotations
@@ -22,38 +24,41 @@ def init_identity() -> Pose:
     return Pose.identity()
 
 
-def init_relative_17pt(corrs: Sequence[RayCorrespondence]) -> Pose:
-    """Nullspace estimate of [vec(E); vec(R)] from stacked constraint rows.
+def _null_direction(eigvals, eigvecs, system: str) -> np.ndarray:
+    """The eigenvector of the smallest eigenvalue (``eigh`` output), signed
+    so that its last nine entries, vec of a rotation block, have det > 0.
+    Raises PoseSolverError unless the two smallest eigenvalues are more than
+    1e-10 of the largest apart: then no direction is unique."""
+    if eigvals[1] - eigvals[0] <= 1e-10 * eigvals[-1]:
+        raise PoseSolverError(f"two smallest eigenvalues of the {system} "
+                              "coincide; nullspace is not unique")
+    null = eigvecs[:, 0]
+    return -null if np.linalg.det(unvec(null[-9:])) < 0.0 else null
 
-    Stacks the per-correspondence coefficient rows into an N x 18
-    matrix and takes the right singular vector of the smallest singular
-    value from a thin SVD, which never forms the N x N left factor. The
-    rotation block is scaled and sign-fixed (17 constraints pin the
-    stacked variable only up to one global scale and sign), projected to
-    SO(3), and the translation recovered from skew(t) = E R'.
+
+def init_relative_17pt(corrs: Sequence[RayCorrespondence]) -> Pose:
+    """Nullspace estimate of [vec(E); vec(R)] from the balanced GEC fold.
+
+    The N x 18 constraint rows fix the stacked variable up to scale and
+    sign. Their E columns are unit products of directions, their R columns
+    carry the moments, so the E columns are first scaled by
+    c = ||R columns||_F / ||E columns||_F (balanced as in Hartley, TPAMI
+    1997), which makes the seed independent of the scene's units. The null
+    direction of the folded 18x18 rows'rows, E block times c, gives R by
+    SO(3) projection, the scale as the mean singular value of the R block,
+    and t from skew(t) = E R'. Two central cameras give c = 0 and raise.
     """
     if len(corrs) < 17:
         raise PoseSolverError(
             f"need at least 17 ray correspondences, got {len(corrs)}")
-    stack = gec_rows(corrs)
-    # Seventeen rows need the full factorization to reach the 18th vector.
-    _, svals, vt = np.linalg.svd(stack, full_matrices=len(corrs) < 18)
-    # For exactly 17 rows the 18th singular value is an implicit zero.
-    gap = svals[-2] - svals[-1] if len(svals) >= 18 else svals[-1]
-    if gap <= 1e-10 * svals[0]:
-        raise PoseSolverError(
-            "two smallest singular values coincide; nullspace is not unique")
-    null = vt[-1]
+    rows = gec_rows(corrs)
+    balance = np.linalg.norm(rows[:, 9:]) / np.linalg.norm(rows[:, :9])
+    rows[:, :9] *= balance
+    null = _null_direction(*np.linalg.eigh(rows.T @ rows), "GEC fold")
     b = unvec(null[9:])
-    if np.linalg.det(b) < 0.0:
-        # Pick the global sign that makes the rotation block right-handed,
-        # so the projection lands next to B instead of a half-turn away.
-        null = -null
-        b = -b
     rotation = project_to_so3(b)
     scale = float(np.linalg.svd(b, compute_uv=False).mean())
-    e_mat = unvec(null[:9]) / scale
-    translation = unskew(e_mat @ rotation.T)
+    translation = unskew(unvec(null[:9]) @ rotation.T * (balance / scale))
     return Pose(rotation, translation)
 
 
@@ -70,23 +75,17 @@ def init_absolute_linear(form: QuadricForm) -> Pose:
 
     Single-center data makes the reduced quadric homogeneous (q = 0),
     which turns stationarity into a gauge problem: every multiple of the
-    true vec(R) is stationary. That case is solved on the unit sphere
-    instead, via the eigenvector of the smallest eigenvalue of P, with the
-    scale and sign restored by the SO(3) projection. Every rank test is
-    relative to the largest eigenvalue of P, and P and q share the units
-    of the objective, so rescaling the scene leaves the seed unchanged.
+    true vec(R) is stationary. That case takes the null direction of P
+    instead, with the scale restored by the SO(3) projection. Every rank
+    test is relative to the largest eigenvalue of P, and P and q share the
+    units of the objective, so rescaling the scene leaves the seed unchanged.
     """
     if form.h.shape != (13, 13):
         raise ValueError("init_absolute_linear needs a form over phi = [vec(R); t; 1]")
     p, q, _ = form.reduced_rotation_quadric()
     eigvals, eigvecs = np.linalg.eigh(p)
     if np.linalg.norm(q) <= 1e-12 * eigvals[-1]:
-        if eigvals[1] - eigvals[0] <= 1e-10 * eigvals[-1]:
-            raise PoseSolverError(
-                "homogeneous stationarity system has no unique direction")
-        r = eigvecs[:, 0]
-        if np.linalg.det(unvec(r)) < 0.0:
-            r = -r
+        r = _null_direction(eigvals, eigvecs, "homogeneous stationarity system")
     else:
         if eigvals[0] <= 1e-12 * eigvals[-1]:
             raise PoseSolverError(

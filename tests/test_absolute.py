@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (fd_rotation_gradient, fd_translation_gradient,
                       random_pose_arrays, relative_gradient_error)
-from poseamm.absolute import (PointRayCorrespondence, build_gpnp_form,
+from poseamm.absolute import (PointRayCorrespondence, PointRaySet, build_gpnp_form,
                               build_upnp_form, gpnp_residual, upnp_rows)
-from poseamm.bench import SceneConfig, generate_absolute_scene
+from poseamm.amm import solve_amm
+from poseamm.bench import (RIG_CENTRAL, RIG_NON_CENTRAL, SceneConfig,
+                           generate_absolute_scene)
 from poseamm.exceptions import PoseSolverError
-from poseamm.geometry import ObservedRay
+from poseamm.geometry import ObservedRay, rodrigues_step
+from poseamm.initializers import init_absolute_linear
 
 
 def direct_gpnp_value(corrs, rotation, translation):
@@ -298,3 +303,37 @@ class TestBuildUpnpForm:
             assert relative_gradient_error(
                 form.translation_gradient(rotation, translation),
                 fd_translation_gradient(form, rotation, translation)) < 1e-5
+
+
+def linear_seeded_solve(form):
+    seed = init_absolute_linear(form)
+    return solve_amm(form, seed.translation, rotation_init=seed.rotation).pose
+
+
+class TestWorldSimilarity:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), angle=st.floats(0.0, np.pi),
+           log_scale=st.floats(-4.0, 4.0))
+    def test_solution_follows_world_similarity(self, seed, angle, log_scale):
+        # Moving the world by p -> sQp + u and the rig offsets by s leaves
+        # every bearing as it is, so the pose (R, t) becomes
+        # (RQ', st - RQ'u). The shift u is drawn in the moved scene's units:
+        # a shift far beyond the scene's extent costs precision in the folds.
+        rng = np.random.default_rng(seed)
+        axis = rng.normal(size=3)
+        q = rodrigues_step(axis / np.linalg.norm(axis), angle)
+        s = 10.0 ** log_scale
+        u = s * rng.uniform(-10.0, 10.0, size=3)
+        for rig in (RIG_CENTRAL, RIG_NON_CENTRAL):
+            _, corrs = generate_absolute_scene(
+                SceneConfig(seed=seed, rig=rig, noise_sigma_px=2.0))
+            moved = PointRaySet(s * corrs.points @ q.T + u, corrs.bearings,
+                                s * corrs.offsets)
+            for build in (build_gpnp_form, build_upnp_form):
+                base = linear_seeded_solve(build(corrs))
+                pose = linear_seeded_solve(build(moved))
+                rotation = base.rotation @ q.T
+                translation = s * base.translation - rotation @ u
+                assert np.abs(pose.rotation - rotation).max() <= 1e-12
+                bound = 1e-12 * s * max(1.0, np.linalg.norm(translation) / s)
+                assert np.abs(pose.translation - translation).max() <= bound

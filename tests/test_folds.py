@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from poseamm import initializers
 from poseamm.absolute import build_gpnp_form, build_upnp_form
 from poseamm.bench import SceneConfig, generate_absolute_scene, generate_relative_scene
 from poseamm.exceptions import PoseSolverError
@@ -177,15 +176,3 @@ class TestFoldMemory:
         corrs = scene("relative", 2000, "non_central")
         assert _peak_bytes(init_relative_17pt, corrs) < PEAK_BYTES
 
-
-@pytest.mark.parametrize("n", (17, 2000))
-def test_thin_svd_seed_matches_full_svd_seed(n, monkeypatch):
-    corrs = scene("relative", n, "non_central")
-    thin = init_relative_17pt(corrs)
-    svd = np.linalg.svd
-    monkeypatch.setattr(initializers.np.linalg, "svd",
-                        lambda a, **kw: svd(a, **{**kw, "full_matrices": True}))
-    full = init_relative_17pt(corrs)
-    np.testing.assert_allclose(thin.rotation, full.rotation, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(thin.translation, full.translation, rtol=0,
-                               atol=1e-12 * max(1.0, np.linalg.norm(full.translation)))

@@ -10,13 +10,15 @@ from poseamm.exceptions import PoseSolverError
 from poseamm.geometry import ObservedRay, rodrigues_step, skew, vec
 from poseamm.initializers import (init_absolute_linear, init_identity,
                                   init_relative_17pt)
-from poseamm.relative import build_gec_form, gec_rows
+from poseamm.relative import RayPairSet, build_gec_form, gec_rows
 
 
 class TestInitRelative17pt:
-    def test_recovers_clean_pose(self):
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_recovers_clean_pose(self, n):
         for seed in range(10):
-            truth, corrs = generate_relative_scene(SceneConfig(seed=seed))
+            truth, corrs = generate_relative_scene(
+                SceneConfig(seed=seed, num_correspondences=n))
             pose = init_relative_17pt(corrs)
             rot_err, trans_err = pose_errors(truth, pose)
             assert rot_err < 1e-6
@@ -40,6 +42,29 @@ class TestInitRelative17pt:
         _, corrs = generate_relative_scene(SceneConfig(seed=2, num_correspondences=1))
         with pytest.raises(PoseSolverError, match="nullspace is not unique"):
             init_relative_17pt(list(corrs) * 20)
+
+    def test_central_cameras_raise(self):
+        # Zero moments leave no R columns to balance the E columns against,
+        # so the fold is zero and has no unique null direction.
+        _, corrs = generate_relative_scene(SceneConfig(seed=4, rig="central"))
+        with pytest.raises(PoseSolverError, match="nullspace is not unique"):
+            init_relative_17pt(corrs)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e4, 1e6])
+    def test_seed_independent_of_scene_units(self, scale):
+        # The balanced fold scales as a whole with the moments, so a scene
+        # in other units gets the same rotation and a translation in
+        # those units.
+        for seed in range(5):
+            _, corrs = generate_relative_scene(
+                SceneConfig(seed=seed, noise_sigma_px=2.0))
+            base = init_relative_17pt(corrs)
+            scaled = RayPairSet(corrs.d1, corrs.m1 * scale, corrs.d2,
+                                corrs.m2 * scale)
+            pose = init_relative_17pt(scaled)
+            assert np.abs(pose.rotation - base.rotation).max() <= 1e-12
+            bound = 1e-11 * max(1.0, np.linalg.norm(base.translation))
+            assert np.abs(pose.translation / scale - base.translation).max() <= bound
 
     def test_nullspace_residual_small(self):
         truth, corrs = generate_relative_scene(SceneConfig(seed=3))
