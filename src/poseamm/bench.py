@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .absolute import PointRaySet, build_gpnp_form, build_upnp_form
-from .amm import AmmConfig, AmmResult, solve_amm
+from .amm import AmmConfig, solve_amm
 from .exceptions import PoseSolverError
 from .geometry import Pose, rodrigues_step, row_norms
 from .initializers import init_absolute_linear, init_identity, init_relative_17pt
@@ -60,8 +60,6 @@ INIT_IDENTITY = "identity"
 # this share of the nearest point depth (1.0 at the default depths); a
 # point on top of a camera makes its observed direction meaningless.
 _MIN_CAMERA_DISTANCE_RATIO = 0.25
-
-_TRACE_SLACK = 1e-12
 
 # GEC quadrics whose vec(R) rows carry at most this share of the norm come
 # from central cameras on both sides.
@@ -305,11 +303,6 @@ def initial_pose(solver: str, init: str, corrs, objective) -> Pose:
     return init_absolute_linear(objective)
 
 
-def _trace_rose(result: AmmResult) -> bool:
-    trace = result.objective_trace
-    return any(cur > prev + _TRACE_SLACK for prev, cur in zip(trace, trace[1:]))
-
-
 def _failed_record(sigma: float, trial: int, solver: str, elapsed: int) -> TrialRecord:
     return TrialRecord(
         noise_sigma=sigma, trial_index=trial, solver_name=solver,
@@ -338,9 +331,8 @@ def _run_trial(level_index: int, sigma: float, trial: int,
         except PoseSolverError:
             result = None
         elapsed = time.perf_counter_ns() - start if measure_time else 0
-        if result is None or _trace_rose(result):
-            # a failed solve, or one whose trace broke monotonicity, voids
-            # this record only, never the sweep
+        if result is None:
+            # a failed solve voids this record only, never the sweep
             records.append(_failed_record(sigma, trial, solver, elapsed))
             continue
         rot_err, trans_err = pose_errors(truth, result.pose)
@@ -362,9 +354,8 @@ def run_sweep(base_config: SceneConfig, problem: str, noise_levels: Sequence[flo
     Every solver sees the same scene within a trial. Timing wraps the
     initializer plus the solve, never scene generation; pass
     ``measure_time=False`` to record zeros instead, which makes repeated
-    sweeps byte-identical. Solver failures, and solves whose objective
-    trace rose by more than rounding, become non-converged records with
-    infinite errors; they never abort the sweep.
+    sweeps byte-identical. Solver failures become non-converged records
+    with infinite errors; they never abort the sweep.
     """
     if problem not in (PROBLEM_ABSOLUTE, PROBLEM_RELATIVE):
         raise ValueError(f"unknown problem kind {problem!r}")

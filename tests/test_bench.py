@@ -216,18 +216,17 @@ class TestRunSweep:
         assert all(math.isinf(r.final_objective) and not r.converged
                    for r in records)
 
-    def test_rising_trace_recorded_as_failure(self, monkeypatch):
-        # A solve whose objective trace rose is recorded as failed; the
-        # other solver of the same trial and the other trials still run.
+    def test_failed_solve_voids_its_own_record_only(self, monkeypatch):
+        # A solve that raises is recorded as failed; the other solver of
+        # the same trial and the other trials still run.
         solve = bench.solve_amm
         calls = []
 
         def patched(objective, *args, **kwargs):
-            result = solve(objective, *args, **kwargs)
-            calls.append(result)
+            calls.append(objective)
             if len(calls) % 2 == 1:   # the first solver of every trial
-                return dataclasses.replace(result, objective_trace=(1.0, 2.0))
-            return result
+                raise PoseSolverError("patched failure")
+            return solve(objective, *args, **kwargs)
 
         monkeypatch.setattr(bench, "solve_amm", patched)
         records = run_sweep(SceneConfig(seed=5), "absolute", [0.0], trials=3,
