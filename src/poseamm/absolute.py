@@ -11,23 +11,21 @@ rows are folded once into the form:
     least squares from the stacked constraints alpha_i v_i + c_i = R p_i + t
     and substituted back, leaving eta_i = alpha_i v_i + c_i - R p_i - t.
 
-Both row builders are vectorized and O(N) in time and memory, and read
-their input as one ``PointRaySet`` of (N, 3) arrays.
+Both row builders are vectorized and O(N) in time and memory. Their
+input is a ``PointRaySet``, the one form point-ray correspondences take:
+three (N, 3) arrays, one row per correspondence.
 
 World points are mapped into the camera frame by x_cam = R x_world + t.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .exceptions import PoseSolverError
-from .geometry import (RAY_SHAPE_MESSAGE, ObservedRay, check_rows, frozen_rows,
-                       ray_faults)
+from .geometry import RAY_SHAPE_MESSAGE, check_rows, frozen_rows, ray_faults
 from .objectives import ABSOLUTE_LIFT, QuadricForm
 
 _RANK_TOL = 1e-10  # on the smallest eigenvalue of the stacked normal matrix
@@ -35,31 +33,15 @@ _RANK_TOL = 1e-10  # on the smallest eigenvalue of the stacked normal matrix
 _POINT_MESSAGE = "point must be a finite 3-vector"
 
 
-@dataclass(frozen=True)
-class PointRayCorrespondence:
-    """A world point paired with the camera ray observing it."""
-
-    point: np.ndarray
-    ray: ObservedRay
-
-    def __post_init__(self):
-        p = np.asarray(self.point, dtype=float)
-        if p.shape != (3,) or not np.isfinite(p).all():
-            raise ValueError(_POINT_MESSAGE)
-        object.__setattr__(self, "point", p)
-
-
 @dataclass(frozen=True, eq=False)
 class PointRaySet:
     """N point-ray correspondences held as three read-only (N, 3) arrays.
 
     Row i is the correspondence of ``points[i]`` with the ray of unit
-    bearing ``bearings[i]`` through ``offsets[i]``. Construction applies
-    the checks of ``PointRayCorrespondence`` and ``ObservedRay`` to every
-    row in one vectorized pass (shapes first, for the whole set) and raises
-    the record's ValueError for the first failing row. ``len``, iteration
-    and integer indexing give ``PointRayCorrespondence`` records built on
-    demand; a slice gives a set.
+    bearing ``bearings[i]`` through ``offsets[i]``. Construction checks
+    the shapes of the whole set, then every row in one vectorized pass
+    (finite entries, unit bearings, finite points), and raises ValueError
+    for the first failing row. A slice gives a set; ``len`` counts rows.
     """
 
     points: np.ndarray
@@ -78,49 +60,22 @@ class PointRaySet:
         object.__setattr__(self, "bearings", bearings)
         object.__setattr__(self, "offsets", offsets)
 
-    @staticmethod
-    def of(corrs: Sequence[PointRayCorrespondence]) -> "PointRaySet":
-        """``corrs`` itself if it is a set, else its records stacked once."""
-        if isinstance(corrs, PointRaySet):
-            return corrs
-        n = len(corrs)
-        return PointRaySet(np.array([c.point for c in corrs]).reshape(n, 3),
-                           np.array([c.ray.bearing for c in corrs]).reshape(n, 3),
-                           np.array([c.ray.offset for c in corrs]).reshape(n, 3))
-
     def __len__(self) -> int:
         return len(self.points)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return PointRaySet(self.points[index], self.bearings[index],
-                               self.offsets[index])
-        i = operator.index(index)
-        return PointRayCorrespondence(
-            self.points[i], ObservedRay(self.bearings[i], self.offsets[i]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+    def __getitem__(self, index: slice) -> "PointRaySet":
+        if not isinstance(index, slice):
+            raise TypeError(f"PointRaySet indices must be slices, not "
+                            f"{type(index).__name__}")
+        return PointRaySet(self.points[index], self.bearings[index],
+                           self.offsets[index])
 
 
-def gpnp_residual(corr: PointRayCorrespondence, rotation, translation) -> np.ndarray:
-    """Component of R x + t - c orthogonal to the bearing.
-
-    Its norm is the distance from the transformed point to the ray's
-    supporting line.
-    """
-    v = corr.ray.bearing
-    y = np.asarray(rotation, dtype=float) @ corr.point \
-        + np.asarray(translation, dtype=float) - corr.ray.offset
-    return y - v * (v @ y)
-
-
-def _stacked(corrs: Sequence[PointRayCorrespondence]):
+def _stacked(corrs: PointRaySet):
     """-> (points, bearings, offsets), each (N, 3)."""
-    rows = PointRaySet.of(corrs)
-    if len(rows) == 0:
+    if len(corrs) == 0:
         raise PoseSolverError("no point-ray correspondences")
-    return rows.points, rows.bearings, rows.offsets
+    return corrs.points, corrs.bearings, corrs.offsets
 
 
 def _projected_rows(points, proj, offsets) -> np.ndarray:
@@ -133,7 +88,7 @@ def _projected_rows(points, proj, offsets) -> np.ndarray:
     return rows
 
 
-def gpnp_rows(corrs: Sequence[PointRayCorrespondence]) -> np.ndarray:
+def gpnp_rows(corrs: PointRaySet) -> np.ndarray:
     """Residual rows (3N, 13) of the point-to-ray distances.
 
     Row block i is [x_i' kron P_i, P_i, -P_i c_i] with P_i = I - vv'/(v'v),
@@ -145,7 +100,7 @@ def gpnp_rows(corrs: Sequence[PointRayCorrespondence]) -> np.ndarray:
     return _projected_rows(points, proj, offsets).reshape(-1, 13)
 
 
-def build_gpnp_form(corrs: Sequence[PointRayCorrespondence]) -> QuadricForm:
+def build_gpnp_form(corrs: PointRaySet) -> QuadricForm:
     """Fold the summed squared point-to-ray distances into a quadric form.
 
     Fewer than three correspondences leave the pose underdetermined; the
@@ -167,7 +122,7 @@ def _depth_system_min_eigenvalue(bearings: np.ndarray) -> float:
     return min(1.0, float(small_roots.min()))
 
 
-def upnp_rows(corrs: Sequence[PointRayCorrespondence]) -> np.ndarray:
+def upnp_rows(corrs: PointRaySet) -> np.ndarray:
     """Residual rows (3N, 13) of the depth-eliminated ray residuals.
 
     The stacked system A [alpha; t] = stack(R p_i - c_i), with one bearing
@@ -203,6 +158,6 @@ def upnp_rows(corrs: Sequence[PointRayCorrespondence]) -> np.ndarray:
     return rows.reshape(-1, 13)
 
 
-def build_upnp_form(corrs: Sequence[PointRayCorrespondence]) -> QuadricForm:
+def build_upnp_form(corrs: PointRaySet) -> QuadricForm:
     """Fold the summed squared depth-eliminated residuals into a quadric form."""
     return QuadricForm.from_rows(upnp_rows(corrs), ABSOLUTE_LIFT)

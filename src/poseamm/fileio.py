@@ -8,12 +8,12 @@ comments; the first meaningful line declares the kind:
 
 A file is read line by line into one float buffer, checked row by row in
 one vectorized pass and returned as a ``PointRaySet`` or a
-``RayPairSet``; no per-record object is built. Bearings and directions are
-renormalized on load (moments rescale with their direction so the line
-is unchanged). Relative records whose direction-moment product exceeds
-1e-6 are rejected; smaller violations are projected out so downstream
-invariants hold exactly. Non-finite fields, and fields that overflow when
-renormalized, are rejected.
+``RayPairSet``; ``write_correspondence_file`` writes such a set back.
+Bearings and directions are renormalized on load (moments rescale with
+their direction so the line is unchanged). Relative lines whose
+direction-moment product exceeds 1e-6 are rejected; smaller violations
+are projected out so downstream invariants hold exactly. Non-finite
+fields, and fields that overflow when renormalized, are rejected.
 
 Errors name the first faulty line (1-based, counting comments and blank
 lines). Within a line the faults are looked for in this order: bytes that
@@ -184,15 +184,14 @@ def parse_correspondence_file(path):
 def write_correspondence_file(path, kind: str, corrs) -> None:
     """Inverse of parse_correspondence_file, lossless for float64 fields.
 
-    ``corrs`` is a set or a sequence of records of the file's kind; every
-    field is printed with ``%.17g``.
+    ``corrs`` is the set of the file's kind (a ``PointRaySet`` for
+    absolute files, a ``RayPairSet`` for relative ones); every field is
+    printed with ``%.17g``.
     """
     if kind == KIND_ABSOLUTE:
-        rows = PointRaySet.of(corrs)
-        columns = (rows.points, rows.bearings, rows.offsets)
+        columns = (corrs.points, corrs.bearings, corrs.offsets)
     elif kind == KIND_RELATIVE:
-        rows = RayPairSet.of(corrs)
-        columns = (rows.d1, rows.m1, rows.d2, rows.m2)
+        columns = (corrs.d1, corrs.m1, corrs.d2, corrs.m2)
     else:
         raise ValueError(f"unknown kind {kind!r}")
     values = np.hstack(columns)

@@ -1,9 +1,10 @@
-"""Rotations, rigid poses, Plücker lines and the small-matrix helpers
-shared by every objective.
+"""Rotations, rigid poses, the row checks of the correspondence sets and
+the small-matrix helpers shared by every objective.
 
 Conventions used throughout the package:
   * vec() stacks matrices column by column,
   * Plücker lines are (unit direction; moment) with moment = point x direction,
+    held as matching rows of two (N, 3) arrays,
   * rotations are plain 3x3 ndarrays; the Pose wrapper validates them.
 """
 
@@ -107,10 +108,6 @@ def solve_symmetric_3x3(h00, h01, h02, h11, h12, h22, v0, v1, v2, floor=0.0):
     return v0 / h00 - l10 * x1 - l20 * x2, x1, x2
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
 def _freeze(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -121,8 +118,8 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of the matching rows of two (N, 3) arrays.
 
     Each product is the one ``np.dot`` computes for a single pair of
-    3-vectors, so vectorized norms and checks round exactly as the
-    per-record ones do. Overflow gives inf without a warning.
+    3-vectors, so a row's norm or check rounds exactly as it would for
+    that row alone. Overflow gives inf without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
@@ -160,8 +157,8 @@ def check_rows(faults) -> None:
 
 
 def ray_faults(bearings: np.ndarray, offsets: np.ndarray):
-    """ObservedRay's value checks on (N, 3) rows, in its order, as
-    (failing rows, message) pairs."""
+    """The value checks of rays (unit bearing through an offset) on (N, 3)
+    rows, in order, as (failing rows, message) pairs."""
     finite = np.isfinite(bearings).all(axis=1) & np.isfinite(offsets).all(axis=1)
     return [(~finite, "ray entries must be finite"),
             (np.abs(row_norms(bearings) - 1.0) > UNIT_TOL,
@@ -169,8 +166,8 @@ def ray_faults(bearings: np.ndarray, offsets: np.ndarray):
 
 
 def line_faults(directions: np.ndarray, moments: np.ndarray):
-    """PlueckerLine's value checks on (N, 3) rows, in its order, as
-    (failing rows, message) pairs."""
+    """The value checks of Plücker lines (unit direction; orthogonal moment)
+    on (N, 3) rows, in order, as (failing rows, message) pairs."""
     finite = np.isfinite(directions).all(axis=1) & np.isfinite(moments).all(axis=1)
     return [(~finite, "line entries must be finite"),
             (np.abs(row_norms(directions) - 1.0) > UNIT_TOL,
@@ -210,56 +207,3 @@ class Pose:
     @staticmethod
     def identity() -> "Pose":
         return Pose(np.eye(3), np.zeros(3))
-
-
-@dataclass(frozen=True)
-class PlueckerLine:
-    """3D line as (direction; moment), moment = point x direction.
-
-    The direction must be unit length and orthogonal to the moment; use
-    ``through_point`` to build a valid line from any point/direction pair.
-    """
-
-    direction: np.ndarray
-    moment: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        m = np.asarray(self.moment, dtype=float)
-        if d.shape != (3,) or m.shape != (3,):
-            raise ValueError(LINE_SHAPE_MESSAGE)
-        check_rows(line_faults(d[None], m[None]))
-        object.__setattr__(self, "direction", _freeze(d))
-        object.__setattr__(self, "moment", _freeze(m))
-
-    @staticmethod
-    def through_point(point, direction) -> "PlueckerLine":
-        """Line through ``point`` along ``direction`` (any nonzero length)."""
-        d = _unit(np.asarray(direction, dtype=float))
-        return PlueckerLine(d, np.cross(np.asarray(point, dtype=float), d))
-
-    def as_vector(self) -> np.ndarray:
-        """The stacked 6-vector (direction; moment)."""
-        return np.concatenate([self.direction, self.moment])
-
-
-@dataclass(frozen=True)
-class ObservedRay:
-    """A measured projection ray: unit bearing through the camera-center offset."""
-
-    bearing: np.ndarray
-    offset: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.bearing, dtype=float)
-        o = np.asarray(self.offset, dtype=float)
-        if b.shape != (3,) or o.shape != (3,):
-            raise ValueError(RAY_SHAPE_MESSAGE)
-        check_rows(ray_faults(b[None], o[None]))
-        object.__setattr__(self, "bearing", _freeze(b))
-        object.__setattr__(self, "offset", _freeze(o))
-
-    @staticmethod
-    def from_direction(direction, offset) -> "ObservedRay":
-        """Normalize ``direction`` and attach the camera-center offset."""
-        return ObservedRay(_unit(np.asarray(direction, dtype=float)), offset)

@@ -9,14 +9,12 @@ take the null direction of a folded quadric through ``_null_direction``.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .exceptions import PoseSolverError
 from .geometry import Pose, project_to_so3, unskew, unvec
 from .objectives import QuadricForm
-from .relative import RayCorrespondence, gec_rows
+from .relative import RayPairSet, gec_rows
 
 
 def init_identity() -> Pose:
@@ -36,7 +34,7 @@ def _null_direction(eigvals, eigvecs, system: str) -> np.ndarray:
     return -null if np.linalg.det(unvec(null[-9:])) < 0.0 else null
 
 
-def init_relative_17pt(corrs: Sequence[RayCorrespondence]) -> Pose:
+def init_relative_17pt(corrs: RayPairSet) -> Pose:
     """Nullspace estimate of [vec(E); vec(R)] from the balanced GEC fold.
 
     The N x 18 constraint rows fix the stacked variable up to scale and

@@ -5,21 +5,29 @@ from hypothesis import strategies as st
 
 from conftest import (fd_rotation_gradient, fd_translation_gradient,
                       random_pose_arrays, relative_gradient_error)
-from poseamm.absolute import (PointRayCorrespondence, PointRaySet, build_gpnp_form,
-                              build_upnp_form, gpnp_residual, upnp_rows)
+from poseamm.absolute import PointRaySet, build_gpnp_form, build_upnp_form, upnp_rows
 from poseamm.amm import solve_amm
 from poseamm.bench import (RIG_CENTRAL, RIG_NON_CENTRAL, SceneConfig,
                            generate_absolute_scene)
 from poseamm.exceptions import PoseSolverError
-from poseamm.geometry import ObservedRay, rodrigues_step
+from poseamm.geometry import rodrigues_step
 from poseamm.initializers import init_absolute_linear
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+def one_row(point, bearing, offset):
+    """The set of a single point-ray correspondence."""
+    return PointRaySet(np.array([point], dtype=float), np.array([bearing], dtype=float),
+                       np.array([offset], dtype=float))
 
 
 def direct_gpnp_value(corrs, rotation, translation):
     total = 0.0
-    for corr in corrs:
-        v = corr.ray.bearing
-        y = rotation @ corr.point + translation - corr.ray.offset
+    for point, v, offset in zip(corrs.points, corrs.bearings, corrs.offsets):
+        y = rotation @ point + translation - offset
         residual = (np.eye(3) - np.outer(v, v)) @ y
         total += float(residual @ residual)
     return total
@@ -29,15 +37,15 @@ def stacked_system(corrs):
     """Dense depth/translation system: A [alpha; t] = stack(R p - c)."""
     n = len(corrs)
     a = np.zeros((3 * n, n + 3))
-    for i, corr in enumerate(corrs):
-        a[3 * i:3 * i + 3, i] = corr.ray.bearing
+    for i, bearing in enumerate(corrs.bearings):
+        a[3 * i:3 * i + 3, i] = bearing
         a[3 * i:3 * i + 3, n:] = -np.eye(3)
     return a
 
 
 def stacked_rhs(corrs, rotation, translation=0.0):
-    return np.concatenate([rotation @ c.point + translation - c.ray.offset
-                           for c in corrs])
+    return np.concatenate([rotation @ point + translation - offset
+                           for point, offset in zip(corrs.points, corrs.offsets)])
 
 
 def lifted(rotation, translation):
@@ -53,9 +61,9 @@ def eliminated_residuals(corrs, rotation, translation):
 def eliminated_depths(corrs, rotation, translation):
     """alpha_i = v_i . (eta_i - c_i + R p_i + t), read back from the rows."""
     eta = eliminated_residuals(corrs, rotation, translation)
-    return np.array([c.ray.bearing @ (e - c.ray.offset + rotation @ c.point
-                                      + translation)
-                     for c, e in zip(corrs, eta)])
+    return np.array([bearing @ (e - offset + rotation @ point + translation)
+                     for point, bearing, offset, e
+                     in zip(corrs.points, corrs.bearings, corrs.offsets, eta)])
 
 
 def dense_depths(corrs, rotation, translation):
@@ -66,45 +74,42 @@ def dense_depths(corrs, rotation, translation):
 
 
 class TestGpnpResidual:
+    """The gPnP form of one correspondence is its squared point-to-ray
+    distance, the squared norm of (I - vv')(R x + t - c)."""
+
     def test_point_on_ray_is_zero(self, rng):
         offset = rng.normal(size=3)
-        ray = ObservedRay.from_direction(rng.normal(size=3), offset)
-        corr = PointRayCorrespondence(offset + 3.7 * ray.bearing, ray)
-        np.testing.assert_allclose(
-            gpnp_residual(corr, np.eye(3), np.zeros(3)), np.zeros(3), atol=1e-12)
+        bearing = unit(rng.normal(size=3))
+        form = build_gpnp_form(one_row(offset + 3.7 * bearing, bearing, offset))
+        assert form.value(np.eye(3), np.zeros(3)) == pytest.approx(0.0, abs=1e-12)
 
     def test_projection_example(self):
         # bearing e3, zero offset, identity pose: the residual keeps only
-        # the components orthogonal to e3.
-        corr = PointRayCorrespondence(
-            np.array([1.0, 2.0, 5.0]),
-            ObservedRay(np.array([0.0, 0.0, 1.0]), np.zeros(3)))
-        np.testing.assert_allclose(gpnp_residual(corr, np.eye(3), np.zeros(3)),
-                                   [1.0, 2.0, 0.0], atol=1e-15)
+        # the components orthogonal to e3, (1, 2, 0).
+        form = build_gpnp_form(one_row([1.0, 2.0, 5.0], [0.0, 0.0, 1.0], np.zeros(3)))
+        assert form.value(np.eye(3), np.zeros(3)) == pytest.approx(5.0, abs=1e-15)
 
     def test_norm_is_point_to_line_distance(self, rng):
         # Independent oracle: minimize ||R x + t - (c + a v)|| over a.
         for _ in range(50):
-            corr = PointRayCorrespondence(
-                rng.uniform(-5, 5, size=3),
-                ObservedRay.from_direction(rng.normal(size=3), rng.normal(size=3)))
+            point, bearing = rng.uniform(-5, 5, size=3), unit(rng.normal(size=3))
+            offset = rng.normal(size=3)
+            form = build_gpnp_form(one_row(point, bearing, offset))
             rotation, translation = random_pose_arrays(rng)
-            y = rotation @ corr.point + translation - corr.ray.offset
+            y = rotation @ point + translation - offset
             alphas = np.linspace(-20, 20, 4001)
             dists = np.linalg.norm(
-                y[None, :] - alphas[:, None] * corr.ray.bearing[None, :], axis=1)
+                y[None, :] - alphas[:, None] * bearing[None, :], axis=1)
             best = float(dists.min())
-            got = float(np.linalg.norm(gpnp_residual(corr, rotation, translation)))
-            assert got == pytest.approx(best, abs=1e-3)
-            exact = float(np.linalg.norm(y - (corr.ray.bearing @ y) * corr.ray.bearing))
-            assert got == pytest.approx(exact, abs=1e-12)
+            got = form.value(rotation, translation)
+            assert got == pytest.approx(best ** 2, abs=1e-3)
+            exact = float(np.linalg.norm(y - (bearing @ y) * bearing))
+            assert got == pytest.approx(exact ** 2, abs=1e-12)
 
 
 class TestBuildGpnpForm:
     def test_single_correspondence_blocks(self):
-        corr = PointRayCorrespondence(
-            np.zeros(3), ObservedRay(np.array([0.0, 0.0, 1.0]), np.zeros(3)))
-        form = build_gpnp_form([corr])
+        form = build_gpnp_form(one_row(np.zeros(3), [0.0, 0.0, 1.0], np.zeros(3)))
         np.testing.assert_allclose(form.h[9:12, 9:12], np.diag([1.0, 1.0, 0.0]),
                                    atol=1e-15)
         np.testing.assert_array_equal(form.h[12, 9:12], np.zeros(3))
@@ -130,8 +135,7 @@ class TestBuildGpnpForm:
 
     def test_projector_idempotent(self):
         _, corrs = generate_absolute_scene(SceneConfig(seed=3))
-        for corr in corrs:
-            v = corr.ray.bearing
+        for v in corrs.bearings:
             q = np.eye(3) - np.outer(v, v)
             np.testing.assert_allclose(q @ q, q, atol=1e-12)
 
@@ -144,7 +148,7 @@ class TestBuildGpnpForm:
 
     def test_empty_raises(self):
         with pytest.raises(PoseSolverError, match="no point-ray correspondences"):
-            build_gpnp_form([])
+            build_gpnp_form(PointRaySet(*np.empty((3, 0, 3))))
 
     def test_gradients_finite_difference(self, rng):
         for seed in range(50):
@@ -164,9 +168,7 @@ class TestUpnpFactorization:
     """The O(N) depth elimination behind the UPnP rows."""
 
     def test_orthogonal_bearings_succeed(self):
-        corrs = [PointRayCorrespondence(np.array([5.0, 0, 0]),
-                                        ObservedRay(np.eye(3)[i], 0.1 * np.eye(3)[i]))
-                 for i in range(3)]
+        corrs = PointRaySet(np.tile([5.0, 0, 0], (3, 1)), np.eye(3), 0.1 * np.eye(3))
         assert upnp_rows(corrs).shape == (9, 13)
 
     def test_pseudo_inverse_rows(self, rng):
@@ -181,9 +183,8 @@ class TestUpnpFactorization:
             offsets = rng.uniform(-0.5, 0.5, size=(n, 3))
             depths = rng.uniform(1.0, 9.0, size=n)
             cam = depths[:, None] * bearings + offsets
-            corrs = [PointRayCorrespondence(rotation.T @ (x - translation),
-                                            ObservedRay(v, c))
-                     for x, v, c in zip(cam, bearings, offsets)]
+            corrs = PointRaySet(
+                np.array([rotation.T @ (x - translation) for x in cam]), bearings, offsets)
             np.testing.assert_allclose(
                 eliminated_depths(corrs, rotation, translation), depths, atol=1e-9)
             residuals = eliminated_residuals(corrs, rotation, translation)
@@ -199,9 +200,8 @@ class TestUpnpFactorization:
 
     def test_parallel_bearings_raise(self):
         bearing = np.array([0.0, 0.0, 1.0])
-        corrs = [PointRayCorrespondence(np.array([0.0, 0.0, float(3 + i)]),
-                                        ObservedRay(bearing, np.zeros(3)))
-                 for i in range(5)]
+        corrs = PointRaySet([[0.0, 0.0, float(3 + i)] for i in range(5)],
+                            np.tile(bearing, (5, 1)), np.zeros((5, 3)))
         with pytest.raises(PoseSolverError, match="lost column rank"):
             upnp_rows(corrs)
 
@@ -218,15 +218,15 @@ class TestUpnpDepth:
         config = SceneConfig(seed=17)
         truth, corrs = generate_absolute_scene(config)
         got = eliminated_depths(corrs, truth.rotation, truth.translation)
-        for i, corr in enumerate(corrs):
-            cam_point = truth.rotation @ corr.point + truth.translation
-            true_depth = float(np.linalg.norm(cam_point - corr.ray.offset))
+        for i, (point, offset) in enumerate(zip(corrs.points, corrs.offsets)):
+            cam_point = truth.rotation @ point + truth.translation
+            true_depth = float(np.linalg.norm(cam_point - offset))
             assert got[i] == pytest.approx(true_depth, abs=1e-9)
 
     def test_central_point_at_distance(self):
         truth, corrs = generate_absolute_scene(SceneConfig(seed=2, rig="central"))
         depth = eliminated_depths(corrs, truth.rotation, truth.translation)[0]
-        cam_point = truth.rotation @ corrs[0].point + truth.translation
+        cam_point = truth.rotation @ corrs.points[0] + truth.translation
         assert depth == pytest.approx(float(np.linalg.norm(cam_point)), abs=1e-9)
 
     def test_independent_of_translation(self, rng):
@@ -245,9 +245,10 @@ class TestUpnpDepth:
         for _ in range(10):
             rotation, translation = random_pose_arrays(rng)
             alpha = dense_depths(corrs, rotation, translation)
-            expected = np.array([a * c.ray.bearing + c.ray.offset
-                                 - rotation @ c.point - translation
-                                 for a, c in zip(alpha, corrs)])
+            expected = np.array([a * bearing + offset - rotation @ point - translation
+                                 for a, point, bearing, offset
+                                 in zip(alpha, corrs.points, corrs.bearings,
+                                        corrs.offsets)])
             np.testing.assert_allclose(
                 eliminated_residuals(corrs, rotation, translation), expected,
                 atol=1e-9)
@@ -275,19 +276,18 @@ class TestBuildUpnpForm:
             rotation, translation = random_pose_arrays(rng)
             depths = dense_depths(corrs, rotation, translation)
             expected = 0.0
-            for i, corr in enumerate(corrs):
+            for i, (point, bearing, offset) in enumerate(
+                    zip(corrs.points, corrs.bearings, corrs.offsets)):
                 alpha = depths[i]
-                eta = (alpha * corr.ray.bearing + corr.ray.offset
-                       - rotation @ corr.point - translation)
+                eta = (alpha * bearing + offset - rotation @ point - translation)
                 expected += float(eta @ eta)
             assert form.value(rotation, translation) == pytest.approx(
                 expected, rel=1e-9)
 
     def test_rank_deficiency_propagates(self):
         bearing = np.array([1.0, 0.0, 0.0])
-        corrs = [PointRayCorrespondence(np.array([float(i + 2), 0.0, 0.0]),
-                                        ObservedRay(bearing, np.zeros(3)))
-                 for i in range(4)]
+        corrs = PointRaySet([[float(i + 2), 0.0, 0.0] for i in range(4)],
+                            np.tile(bearing, (4, 1)), np.zeros((4, 3)))
         with pytest.raises(PoseSolverError, match="lost column rank"):
             build_upnp_form(corrs)
 

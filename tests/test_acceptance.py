@@ -109,8 +109,8 @@ def test_criterion_2_gradient_correctness():
 def _stacked_system(corrs):
     n = len(corrs)
     a = np.zeros((3 * n, n + 3))
-    for i, corr in enumerate(corrs):
-        a[3 * i:3 * i + 3, i] = corr.ray.bearing
+    for i, bearing in enumerate(corrs.bearings):
+        a[3 * i:3 * i + 3, i] = bearing
         a[3 * i:3 * i + 3, n:] = -np.eye(3)
     return a
 
@@ -126,28 +126,30 @@ def test_criterion_3_oracle_equivalence():
         block[:3, :3] = skew(translation) @ rotation
         block[:3, 3:] = rotation
         block[3:, :3] = rotation
-        direct = sum(float(c.line1.as_vector() @ block @ c.line2.as_vector()) ** 2
-                     for c in corrs)
+        direct = sum(float(np.concatenate([d1, m1]) @ block
+                           @ np.concatenate([d2, m2])) ** 2
+                     for d1, m1, d2, m2 in zip(corrs.d1, corrs.m1, corrs.d2, corrs.m2))
         got = gec.value(rotation, translation)
         worst["gec"] = max(worst["gec"], abs(got - direct) / max(direct, 1e-30))
 
         corrs, gpnp = _scene_objective("gpnp", seed)
         direct = 0.0
-        for c in corrs:
-            v = c.ray.bearing
-            y = rotation @ c.point + translation - c.ray.offset
+        for point, v, offset in zip(corrs.points, corrs.bearings, corrs.offsets):
+            y = rotation @ point + translation - offset
             r = y - v * (v @ y)
             direct += float(r @ r)
         got = gpnp.value(rotation, translation)
         worst["gpnp"] = max(worst["gpnp"], abs(got - direct) / max(direct, 1e-30))
 
         corrs, upnp = _scene_objective("upnp", seed)
-        rhs = np.concatenate([rotation @ c.point - c.ray.offset for c in corrs])
+        rhs = np.concatenate([rotation @ point - offset
+                              for point, offset in zip(corrs.points, corrs.offsets)])
         dense, *_ = np.linalg.lstsq(_stacked_system(corrs), rhs, rcond=None)
         direct = 0.0
-        for i, c in enumerate(corrs):
-            eta = (float(dense[i]) * c.ray.bearing + c.ray.offset
-                   - rotation @ c.point - translation)
+        for i, (point, bearing, offset) in enumerate(
+                zip(corrs.points, corrs.bearings, corrs.offsets)):
+            eta = (float(dense[i]) * bearing + offset
+                   - rotation @ point - translation)
             direct += float(eta @ eta)
         got = upnp.value(rotation, translation)
         worst["upnp"] = max(worst["upnp"], abs(got - direct) / max(direct, 1e-30))

@@ -18,9 +18,9 @@ from poseamm.relative import build_gec_form
 class TestSceneGeneration:
     def test_absolute_zero_noise_consistency(self):
         truth, corrs = generate_absolute_scene(SceneConfig(seed=1))
-        for corr in corrs:
-            y = truth.rotation @ corr.point + truth.translation - corr.ray.offset
-            residual = y - corr.ray.bearing * (corr.ray.bearing @ y)
+        for point, bearing, offset in zip(corrs.points, corrs.bearings, corrs.offsets):
+            y = truth.rotation @ point + truth.translation - offset
+            residual = y - bearing * (bearing @ y)
             assert np.linalg.norm(residual) < 1e-12
 
     def test_relative_zero_noise_consistency(self):
@@ -30,8 +30,8 @@ class TestSceneGeneration:
         block[:3, :3] = essential
         block[:3, 3:] = truth.rotation
         block[3:, :3] = truth.rotation
-        for corr in corrs:
-            value = corr.line1.as_vector() @ block @ corr.line2.as_vector()
+        for d1, m1, d2, m2 in zip(corrs.d1, corrs.m1, corrs.d2, corrs.m2):
+            value = np.concatenate([d1, m1]) @ block @ np.concatenate([d2, m2])
             assert abs(value) < 1e-12
 
     def test_all_objectives_vanish_at_truth(self):
@@ -49,23 +49,20 @@ class TestSceneGeneration:
         truth_a, corrs_a = generate_absolute_scene(config)
         truth_b, corrs_b = generate_absolute_scene(config)
         np.testing.assert_array_equal(truth_a.rotation, truth_b.rotation)
-        for ca, cb in zip(corrs_a, corrs_b):
-            np.testing.assert_array_equal(ca.point, cb.point)
-            np.testing.assert_array_equal(ca.ray.bearing, cb.ray.bearing)
+        np.testing.assert_array_equal(corrs_a.points, corrs_b.points)
+        np.testing.assert_array_equal(corrs_a.bearings, corrs_b.bearings)
 
     def test_relative_deterministic_given_seed(self):
         config = SceneConfig(seed=78, noise_sigma_px=3.0)
         truth_a, corrs_a = generate_relative_scene(config)
         truth_b, corrs_b = generate_relative_scene(config)
         np.testing.assert_array_equal(truth_a.translation, truth_b.translation)
-        for ca, cb in zip(corrs_a, corrs_b):
-            np.testing.assert_array_equal(ca.line1.direction, cb.line1.direction)
-            np.testing.assert_array_equal(ca.line2.moment, cb.line2.moment)
+        np.testing.assert_array_equal(corrs_a.d1, corrs_b.d1)
+        np.testing.assert_array_equal(corrs_a.m2, corrs_b.m2)
 
     def test_central_rig_offsets_are_zero(self):
         _, corrs = generate_absolute_scene(SceneConfig(seed=4, rig="central"))
-        for corr in corrs:
-            np.testing.assert_array_equal(corr.ray.offset, np.zeros(3))
+        np.testing.assert_array_equal(corrs.offsets, np.zeros((len(corrs), 3)))
 
     def test_relative_scene_much_smaller_than_a_unit_returns(self):
         # The camera-distance floor scales with the point depths, so scenes

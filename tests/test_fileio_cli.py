@@ -10,12 +10,9 @@ import numpy as np
 import pytest
 
 from poseamm import bench, cli, fileio
-from poseamm.absolute import PointRayCorrespondence
 from poseamm.bench import (SceneConfig, generate_absolute_scene,
                            generate_relative_scene, run_sweep)
 from poseamm.exceptions import ParseError
-from poseamm.geometry import ObservedRay, PlueckerLine
-from poseamm.relative import RayCorrespondence
 
 
 ABSOLUTE_FILE = """\
@@ -34,7 +31,7 @@ class TestParseCorrespondenceFile:
         kind, corrs = fileio.parse_correspondence_file(path)
         assert kind == "absolute"
         assert len(corrs) == 3
-        np.testing.assert_array_equal(corrs[0].point, [1, 2, 3])
+        np.testing.assert_array_equal(corrs.points[0], [1, 2, 3])
 
     def test_wrong_field_count_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -59,7 +56,7 @@ class TestParseCorrespondenceFile:
         path = tmp_path / "abs.txt"
         path.write_text("absolute\n1 2 3  0 0 5  0 0 0\n")
         _, corrs = fileio.parse_correspondence_file(path)
-        np.testing.assert_allclose(corrs[0].ray.bearing, [0, 0, 1], atol=1e-15)
+        np.testing.assert_allclose(corrs.bearings[0], [0, 0, 1], atol=1e-15)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -71,8 +68,7 @@ class TestParseCorrespondenceFile:
         path = tmp_path / "rel.txt"
         path.write_text("relative\n1 0 0  1e-8 1 0  0 1 0  0 0 0\n")
         _, corrs = fileio.parse_correspondence_file(path)
-        line = corrs[0].line1
-        assert abs(line.direction @ line.moment) < 1e-15
+        assert abs(corrs.d1[0] @ corrs.m1[0]) < 1e-15
 
     def test_round_trip_preserves_values(self, tmp_path):
         _, corrs = generate_relative_scene(SceneConfig(seed=2, noise_sigma_px=1.0))
@@ -80,11 +76,8 @@ class TestParseCorrespondenceFile:
         fileio.write_correspondence_file(path, "relative", corrs)
         kind, loaded = fileio.parse_correspondence_file(path)
         assert kind == "relative"
-        for original, parsed in zip(corrs, loaded):
-            np.testing.assert_allclose(parsed.line1.direction,
-                                       original.line1.direction, atol=1e-15)
-            np.testing.assert_allclose(parsed.line2.moment,
-                                       original.line2.moment, atol=1e-15)
+        np.testing.assert_allclose(loaded.d1, corrs.d1, atol=1e-15)
+        np.testing.assert_allclose(loaded.m2, corrs.m2, atol=1e-15)
 
 
 class TestSweepCsv:
@@ -390,7 +383,7 @@ class TestCliSolve:
 @np.errstate(over="ignore")
 def reference_load_line(direction, moment, lineno):
     """The per-line Plücker loader as it was, plus the non-finite check
-    after renormalization."""
+    after renormalization. -> the line's (direction, moment) fields."""
     d = np.asarray(direction, dtype=float)
     m = np.asarray(moment, dtype=float)
     n = float(np.linalg.norm(d))
@@ -404,16 +397,16 @@ def reference_load_line(direction, moment, lineno):
     if abs(residual) > 1e-6:
         raise ParseError(
             f"line {lineno}: direction.moment = {residual:g} exceeds {1e-6:g}")
-    return PlueckerLine(d, m - residual * d)
+    return [*d, *(m - residual * d)]
 
 
 @np.errstate(over="ignore")
 def reference_parse(path):
-    """The line-loop parser as it was, building one record per line, plus
-    the non-finite checks: right after a line's numbers are counted, and
-    after each renormalization."""
+    """The line-loop parser as it was, building one row of fields per line,
+    plus the non-finite checks: right after a line's numbers are counted,
+    and after each renormalization. -> (kind, (N, 9 or 12) rows)."""
     kind = None
-    records = []
+    rows = []
     with open(path, "r", encoding="utf-8") as stream:
         for lineno, raw in enumerate(stream, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -444,36 +437,28 @@ def reference_parse(path):
                     raise ParseError(f"line {lineno}: zero bearing vector")
                 if not math.isfinite(n):
                     raise ParseError(f"line {lineno}: non-finite field")
-                records.append(PointRayCorrespondence(
-                    np.array(values[0:3]),
-                    ObservedRay.from_direction(bearing, np.array(values[6:9]))))
+                rows.append([*values[0:3], *(bearing / n), *values[6:9]])
             else:
-                records.append(RayCorrespondence(
-                    reference_load_line(values[0:3], values[3:6], lineno),
-                    reference_load_line(values[6:9], values[9:12], lineno)))
+                rows.append(reference_load_line(values[0:3], values[3:6], lineno)
+                            + reference_load_line(values[6:9], values[9:12], lineno))
     if kind is None:
         raise ParseError(f"{path}: missing kind header")
-    return kind, records
+    return kind, np.array(rows, dtype=float).reshape(-1, 9 if kind == "absolute" else 12)
 
 
-def reference_write(path, kind, corrs):
-    """The per-record writer as it was."""
+def reference_write(path, kind, rows):
+    """The per-line writer as it was, on the rows of _set_rows."""
     with open(path, "w", encoding="utf-8") as stream:
         stream.write(kind + "\n")
-        for corr in corrs:
-            if kind == "absolute":
-                fields = [*corr.point, *corr.ray.bearing, *corr.ray.offset]
-            else:
-                fields = [*corr.line1.direction, *corr.line1.moment,
-                          *corr.line2.direction, *corr.line2.moment]
+        for fields in rows:
             stream.write(" ".join("%.17g" % x for x in fields) + "\n")
 
 
-def _record_rows(kind, corrs):
+def _set_rows(kind, corrs):
+    """The (N, 9 or 12) file rows of a set, fields in file order."""
     if kind == "absolute":
-        return np.array([[*c.point, *c.ray.bearing, *c.ray.offset] for c in corrs])
-    return np.array([[*c.line1.direction, *c.line1.moment,
-                      *c.line2.direction, *c.line2.moment] for c in corrs])
+        return np.hstack([corrs.points, corrs.bearings, corrs.offsets])
+    return np.hstack([corrs.d1, corrs.m1, corrs.d2, corrs.m2])
 
 
 def _scene(kind, n, seed=1234567):
@@ -491,7 +476,7 @@ class TestParserMatchesReference:
         got_kind, got = fileio.parse_correspondence_file(path)
         ref_kind, ref = reference_parse(path)
         assert got_kind == ref_kind == kind
-        got_rows, ref_rows = _record_rows(kind, got), _record_rows(kind, ref)
+        got_rows, ref_rows = _set_rows(kind, got), ref
         assert got_rows.shape == ref_rows.shape == (2000, 9 if kind == "absolute" else 12)
         eps = np.finfo(float).eps
         slack = 4.0 * eps * np.linalg.norm(ref_rows, axis=1)
@@ -517,7 +502,7 @@ class TestParserMatchesReference:
         # scaled bearings and directions, moments rescaled with them, and a
         # small Plücker violation to project out
         rng = np.random.default_rng(4)
-        rows = _record_rows(kind, _scene(kind, 50))
+        rows = _set_rows(kind, _scene(kind, 50))
         for start in ((3,) if kind == "absolute" else (0, 6)):
             scale = rng.uniform(0.01, 100.0, size=(50, 1))
             rows[:, start:start + 3] *= scale
@@ -527,8 +512,8 @@ class TestParserMatchesReference:
         path = tmp_path / "scaled.txt"
         path.write_text(kind + "\n" + "".join(
             " ".join("%.17g" % x for x in row) + "  # a comment\n\n" for row in rows))
-        got = _record_rows(kind, fileio.parse_correspondence_file(path)[1])
-        ref = _record_rows(kind, reference_parse(path)[1])
+        got = _set_rows(kind, fileio.parse_correspondence_file(path)[1])
+        ref = reference_parse(path)[1]
         slack = 4.0 * np.finfo(float).eps * np.linalg.norm(ref, axis=1)
         assert (np.abs(got - ref).max(axis=1) <= slack).all()
 
@@ -572,7 +557,7 @@ class TestFirstFaultReported:
     def test_earlier_line_wins(self, tmp_path, kind, first, second):
         faults = ABSOLUTE_FAULTS if kind == "absolute" else RELATIVE_FAULTS
         good = [" ".join("%.17g" % x for x in row)
-                for row in _record_rows(kind, _scene(kind, 6, seed=3))]
+                for row in _set_rows(kind, _scene(kind, 6, seed=3))]
         lines = ["# two faulty lines", kind, good[0], "", good[1],
                  faults[first] + "  # first", good[2], "# comment",
                  faults[second], good[3]]
@@ -608,17 +593,15 @@ class TestWriterMatchesReference:
     @pytest.mark.parametrize("n", [1, 20, 2000])
     def test_bytes(self, tmp_path, kind, n):
         corrs = _scene(kind, n, seed=n)
-        records = list(corrs)
-        reference_write(tmp_path / "ref.txt", kind, records)
+        reference_write(tmp_path / "ref.txt", kind, _set_rows(kind, corrs))
         expected = (tmp_path / "ref.txt").read_bytes()
         fileio.write_correspondence_file(tmp_path / "set.txt", kind, corrs)
-        fileio.write_correspondence_file(tmp_path / "list.txt", kind, records)
         assert (tmp_path / "set.txt").read_bytes() == expected
-        assert (tmp_path / "list.txt").read_bytes() == expected
 
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ValueError, match="unknown kind"):
-            fileio.write_correspondence_file(tmp_path / "x.txt", "sideways", [])
+            fileio.write_correspondence_file(tmp_path / "x.txt", "sideways",
+                                             _scene("absolute", 1))
         assert not (tmp_path / "x.txt").exists()
 
 

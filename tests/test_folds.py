@@ -23,8 +23,7 @@ def reference_gpnp_blocks(corrs):
     """The six blocks accumulated one correspondence at a time with np.kron."""
     m_rr, v_r, m_tr = np.zeros((9, 9)), np.zeros(9), np.zeros((3, 9))
     m_tt, v_t, const = np.zeros((3, 3)), np.zeros(3), 0.0
-    for corr in corrs:
-        v, x, c = corr.ray.bearing, corr.point, corr.ray.offset
+    for v, x, c in zip(corrs.bearings, corrs.points, corrs.offsets):
         proj = np.eye(3) - np.outer(v, v) / float(v @ v)
         q = proj.T @ proj
         kq = np.kron(x, q)                  # (3, 9): x' kron Q
@@ -46,9 +45,7 @@ def reference_upnp_blocks(corrs):
     d_i = c_i - (sum_j u_ij . c_j) v_i, eta_i = G_i r + d_i - t.
     """
     n = len(corrs)
-    bearings = np.array([c.ray.bearing for c in corrs])
-    points = np.array([c.point for c in corrs])
-    offsets = np.array([c.ray.offset for c in corrs])
+    bearings, points, offsets = corrs.bearings, corrs.points, corrs.offsets
     a = np.zeros((3 * n, n + 3))
     for i, v in enumerate(bearings):
         a[3 * i:3 * i + 3, i] = v
@@ -73,8 +70,8 @@ def reference_upnp_blocks(corrs):
 def reference_gec_quadric(corrs):
     """M = sum_i a_i a_i', each a_i picked out of np.kron(l2, l1)."""
     m = np.zeros((18, 18))
-    for corr in corrs:
-        k = np.kron(corr.line2.as_vector(), corr.line1.as_vector())
+    for d1, m1, d2, m2 in zip(corrs.d1, corrs.m1, corrs.d2, corrs.m2):
+        k = np.kron(np.concatenate([d2, m2]), np.concatenate([d1, m1]))
         a = np.concatenate([k[0:3], k[6:9], k[12:15], k[3:6] + k[18:21],
                             k[9:12] + k[24:27], k[15:18] + k[30:33]])
         m += np.outer(a, a)

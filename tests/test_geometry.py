@@ -3,8 +3,7 @@ import pytest
 
 from conftest import random_rotation
 from poseamm.exceptions import PoseSolverError
-from poseamm.geometry import (ObservedRay, PlueckerLine, Pose,
-                              project_to_so3, rodrigues_step, skew, unskew,
+from poseamm.geometry import (Pose, project_to_so3, rodrigues_step, skew, unskew,
                               unvec, vec)
 
 
@@ -187,25 +186,3 @@ class TestDomainTypes:
         pose = Pose.identity()
         np.testing.assert_array_equal(pose.rotation, np.eye(3))
         np.testing.assert_array_equal(pose.translation, np.zeros(3))
-
-    def test_pluecker_through_point(self, rng):
-        point = rng.normal(size=3)
-        line = PlueckerLine.through_point(point, rng.normal(size=3))
-        assert abs(np.linalg.norm(line.direction) - 1.0) < 1e-12
-        assert abs(line.direction @ line.moment) < 1e-9
-
-    def test_pluecker_rejects_non_unit_direction(self):
-        with pytest.raises(ValueError):
-            PlueckerLine(np.array([2.0, 0.0, 0.0]), np.zeros(3))
-
-    def test_pluecker_rejects_constraint_violation(self):
-        with pytest.raises(ValueError):
-            PlueckerLine(np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.0, 0.0]))
-
-    def test_observed_ray_normalizes(self):
-        ray = ObservedRay.from_direction([0.0, 0.0, 5.0], [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(ray.bearing, [0, 0, 1], atol=1e-15)
-
-    def test_observed_ray_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            ObservedRay(np.array([0.0, 0.0, 2.0]), np.zeros(3))

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from poseamm.absolute import (PointRayCorrespondence, PointRaySet, build_gpnp_form,
-                              build_upnp_form)
+from poseamm.absolute import PointRaySet, build_gpnp_form, build_upnp_form
 from poseamm.amm import AmmConfig, solve_amm
 from poseamm.bench import (SceneConfig, generate_absolute_scene,
                            generate_relative_scene, pose_errors)
 from poseamm.exceptions import PoseSolverError
-from poseamm.geometry import ObservedRay, rodrigues_step, skew, vec
+from poseamm.geometry import rodrigues_step, skew, vec
 from poseamm.initializers import (init_absolute_linear, init_identity,
                                   init_relative_17pt)
 from poseamm.relative import RayPairSet, build_gec_form, gec_rows
@@ -41,7 +40,8 @@ class TestInitRelative17pt:
         # the nullspace is 17-dimensional.
         _, corrs = generate_relative_scene(SceneConfig(seed=2, num_correspondences=1))
         with pytest.raises(PoseSolverError, match="nullspace is not unique"):
-            init_relative_17pt(list(corrs) * 20)
+            init_relative_17pt(RayPairSet(*(np.tile(rows, (20, 1)) for rows in (
+                corrs.d1, corrs.m1, corrs.d2, corrs.m2))))
 
     def test_central_cameras_raise(self):
         # Zero moments leave no R columns to balance the E columns against,
@@ -114,13 +114,10 @@ class TestInitAbsoluteLinear:
         base = np.array([0.5, -1.0, 6.0])
         rotation = rodrigues_step([0.0, 0.0, 1.0], 0.4)
         translation = np.array([0.3, -0.2, 0.5])
-        corrs = []
-        for s in np.linspace(-2.0, 2.0, 20):
-            point = base + s * direction
-            corrs.append(PointRayCorrespondence(
-                point, ObservedRay.from_direction(rotation @ point + translation,
-                                                  np.zeros(3))))
-        form = build_gpnp_form(corrs)
+        points = np.array([base + s * direction for s in np.linspace(-2.0, 2.0, 20)])
+        bearings = np.array([rotation @ point + translation for point in points])
+        bearings /= np.linalg.norm(bearings, axis=1)[:, None]
+        form = build_gpnp_form(PointRaySet(points, bearings, np.zeros((20, 3))))
         k = 2.0 * form.h[:12, :12]
         assert np.linalg.svd(k, compute_uv=False)[-1] < 1e-12
         with pytest.raises(PoseSolverError, match="stationarity system"):

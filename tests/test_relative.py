@@ -6,9 +6,9 @@ from conftest import (assert_block_quadrics_match, fd_rotation_gradient,
                       relative_gradient_error)
 from poseamm.bench import SceneConfig, generate_relative_scene
 from poseamm.exceptions import PoseSolverError
-from poseamm.geometry import PlueckerLine, skew, unvec, vec
+from poseamm.geometry import skew, unvec, vec
 from poseamm.objectives import GEC_LIFT, QuadricForm
-from poseamm.relative import RayCorrespondence, build_gec_form, gec_rows
+from poseamm.relative import RayPairSet, build_gec_form, gec_rows
 
 
 def block_matrix(rotation, translation):
@@ -20,56 +20,64 @@ def block_matrix(rotation, translation):
     return out
 
 
-def direct_residual(corr, rotation, translation):
-    return float(corr.line1.as_vector()
-                 @ block_matrix(rotation, translation)
-                 @ corr.line2.as_vector())
+def line_pairs(corrs):
+    """The Plücker 6-vectors (l1, l2) = ((d1; m1), (d2; m2)) of each row."""
+    return [(np.concatenate([d1, m1]), np.concatenate([d2, m2]))
+            for d1, m1, d2, m2 in zip(corrs.d1, corrs.m1, corrs.d2, corrs.m2)]
+
+
+def direct_residual(l1, l2, rotation, translation):
+    return float(l1 @ block_matrix(rotation, translation) @ l2)
 
 
 def random_line(rng):
-    return PlueckerLine.through_point(rng.uniform(-3, 3, size=3),
-                                      rng.normal(size=3))
+    """(direction, moment) of a line through a random point, any direction."""
+    point = rng.uniform(-3, 3, size=3)
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    return direction, np.cross(point, direction)
 
 
-def random_correspondence(rng):
-    return RayCorrespondence(random_line(rng), random_line(rng))
+def random_pairs(rng, n):
+    """A set of n correspondences between independent random lines."""
+    rows = [random_line(rng) + random_line(rng) for _ in range(n)]
+    return RayPairSet(*(np.array(column) for column in zip(*rows)))
 
 
 class TestBuildGecVector:
     def test_single_kronecker_entry(self):
         # Unit directions along x and y with zero moments select the one
         # bilinear term E[0, 1], the fourth entry of vec(E).
-        corr = RayCorrespondence(
-            PlueckerLine(np.array([1.0, 0, 0]), np.zeros(3)),
-            PlueckerLine(np.array([0.0, 1.0, 0]), np.zeros(3)))
+        corr = RayPairSet([[1.0, 0, 0]], np.zeros((1, 3)), [[0.0, 1.0, 0]],
+                          np.zeros((1, 3)))
         expected = np.zeros(18)
         expected[3] = 1.0
-        np.testing.assert_array_equal(gec_rows([corr])[0], expected)
+        np.testing.assert_array_equal(gec_rows(corr)[0], expected)
 
     def test_matches_direct_bilinear_form(self, rng):
         for _ in range(50):
-            corr = random_correspondence(rng)
+            corr = random_pairs(rng, 1)
             rotation, translation = random_pose_arrays(rng)
             v = GEC_LIFT.phi(rotation, translation)
-            direct = direct_residual(corr, rotation, translation)
-            a = gec_rows([corr])[0]
+            direct = direct_residual(*line_pairs(corr)[0], rotation, translation)
+            a = gec_rows(corr)[0]
             assert abs(a @ v - direct) < 1e-12 * max(1.0, abs(direct))
 
     def test_zero_residual_at_truth(self):
         truth, corrs = generate_relative_scene(SceneConfig(seed=8))
         v = GEC_LIFT.phi(truth.rotation, truth.translation)
-        for corr in corrs:
-            assert abs(gec_rows([corr])[0] @ v) < 1e-10
+        for i in range(len(corrs)):
+            assert abs(gec_rows(corrs[i:i + 1])[0] @ v) < 1e-10
 
 
 class TestBuildGecForm:
     def test_single_correspondence_rank_one(self, rng):
-        form = build_gec_form([random_correspondence(rng)])
+        form = build_gec_form(random_pairs(rng, 1))
         assert np.linalg.matrix_rank(form.h) == 1
 
     def test_empty_raises(self):
         with pytest.raises(PoseSolverError, match="no ray correspondences"):
-            build_gec_form([])
+            build_gec_form(RayPairSet(*np.empty((4, 0, 3))))
 
     def test_zero_at_truth_on_clean_data(self):
         # The correspondence-wise sum of squared residuals carries the
@@ -80,21 +88,23 @@ class TestBuildGecForm:
             form = build_gec_form(corrs)
             v = GEC_LIFT.phi(truth.rotation, truth.translation)
             scale = float(np.linalg.norm(form.h)) * float(v @ v)
-            summed = sum(float(gec_rows([c])[0] @ v) ** 2 for c in corrs)
+            summed = sum(float(gec_rows(corrs[i:i + 1])[0] @ v) ** 2
+                         for i in range(len(corrs)))
             assert summed < 1e-18 * scale
             assert form.value(truth.rotation, truth.translation) < 1e-12 * scale
 
     def test_matches_per_correspondence_accumulation(self, rng):
-        corrs = [random_correspondence(rng) for _ in range(12)]
+        corrs = random_pairs(rng, 12)
         form = build_gec_form(corrs)
         v = rng.normal(size=18)
-        expected = sum(float(gec_rows([c])[0] @ v) ** 2 for c in corrs)
+        expected = sum(float(gec_rows(corrs[i:i + 1])[0] @ v) ** 2
+                       for i in range(len(corrs)))
         assert float(v @ form.h @ v) == pytest.approx(expected, rel=1e-12)
 
 
 class TestGecValue:
     def test_zero_translation_uses_rotation_block(self, rng):
-        corrs = [random_correspondence(rng) for _ in range(8)]
+        corrs = random_pairs(rng, 8)
         form = build_gec_form(corrs)
         rotation, _ = random_pose_arrays(rng)
         r = vec(rotation)
@@ -113,8 +123,8 @@ class TestGecValue:
                 SceneConfig(seed=seed, noise_sigma_px=3.0))
             form = build_gec_form(corrs)
             rotation, translation = random_pose_arrays(rng)
-            expected = sum(direct_residual(c, rotation, translation) ** 2
-                           for c in corrs)
+            expected = sum(direct_residual(l1, l2, rotation, translation) ** 2
+                           for l1, l2 in line_pairs(corrs))
             assert form.value(rotation, translation) == pytest.approx(
                 expected, rel=1e-10)
 
@@ -146,7 +156,7 @@ class TestGecGradients:
     def test_zero_translation_reduction(self, rng):
         # At t = 0 the essential-block Jacobian vanishes and the gradient
         # reduces to the rotation-block rows of H phi.
-        corrs = [random_correspondence(rng) for _ in range(8)]
+        corrs = random_pairs(rng, 8)
         form = build_gec_form(corrs)
         rotation, _ = random_pose_arrays(rng)
         v = GEC_LIFT.phi(rotation, np.zeros(3))
@@ -156,7 +166,7 @@ class TestGecGradients:
 
     def test_identity_rotation_jacobian_blocks(self, rng):
         # At R = I the translation Jacobian blocks are skew(e1..e3).
-        corrs = [random_correspondence(rng) for _ in range(8)]
+        corrs = random_pairs(rng, 8)
         form = build_gec_form(corrs)
         translation = rng.normal(size=3)
         v = GEC_LIFT.phi(np.eye(3), translation)
@@ -212,7 +222,7 @@ class TestGecQuadricsMatchKronFormula:
                 _, corrs = generate_relative_scene(SceneConfig(
                     seed=trial, num_correspondences=n, noise_sigma_px=2.0), rng)
             else:
-                corrs = [random_correspondence(rng) for _ in range(n)]
+                corrs = random_pairs(rng, n)
             form = build_gec_form(corrs)
             rotation, translation = random_pose_arrays(rng, extent=3.0)
             for got, want in ((form.rotation_quadric(translation),
