@@ -312,18 +312,25 @@ class TestRetriesAndSweeps:
         assert sweep() == shipped
 
 
+def row_cases(cases):
+    """(field, row, value, expected message) cases as pytest params with
+    ids "field-row-valueK", K the case's index."""
+    return [pytest.param(*case, id=f"{case[0]}-{case[1]}-value{k}")
+            for k, case in enumerate(cases)]
+
+
 class TestRowChecks:
     """A set rejects a faulty row with the message of its first failing
     check, and reports the first failing row."""
 
-    @pytest.mark.parametrize("field,row,value,expected", [
+    @pytest.mark.parametrize("field,row,value,expected", row_cases([
         ("bearings", 2, [0.0, 0.0, 1.0 + 2e-12], "bearing must be unit length"),
         ("bearings", 4, [0.6, 0.8, 1e-5], "bearing must be unit length"),
         ("bearings", 0, [np.nan, 0.0, 1.0], "ray entries must be finite"),
         ("offsets", 3, [0.0, np.inf, 0.0], "ray entries must be finite"),
         ("points", 5, [1.0, -np.inf, 0.0], "point must be a finite 3-vector"),
         ("points", 1, [np.nan, 0.0, 0.0], "point must be a finite 3-vector"),
-    ])
+    ]))
     def test_absolute_rejections(self, field, row, value, expected):
         arrays = dict(zip(("points", "bearings", "offsets"), absolute_arrays()))
         arrays[field][row] = value
@@ -331,14 +338,14 @@ class TestRowChecks:
             PointRaySet(**arrays)
         assert str(info.value) == expected
 
-    @pytest.mark.parametrize("field,row,value,expected", [
+    @pytest.mark.parametrize("field,row,value,expected", row_cases([
         ("d1", 2, [0.0, 0.0, 1.0 - 2e-12], "direction must be unit length"),
         ("d2", 1, [0.0, 0.0, 2.0], "direction must be unit length"),
         ("m1", 0, [np.nan, 0.0, 0.0], "line entries must be finite"),
         ("d2", 3, [np.inf, 0.0, 0.0], "line entries must be finite"),
         ("m2", 4, [1.0, 1.0, 1.0], "moment must be orthogonal to the direction"),
         ("m1", 5, [1e-3, 0.0, 0.0], "moment must be orthogonal to the direction"),
-    ])
+    ]))
     def test_relative_rejections(self, field, row, value, expected):
         arrays = dict(zip(("d1", "m1", "d2", "m2"), relative_arrays()))
         arrays[field][row] = value
