@@ -3,8 +3,9 @@ import pytest
 
 from conftest import random_rotation
 from poseamm.exceptions import PoseSolverError
-from poseamm.geometry import (Pose, project_to_so3, rodrigues_step, skew, unskew,
-                              unvec, vec)
+from poseamm.geometry import (Pose, check_rows, line_faults, project_to_so3,
+                              ray_faults, rodrigues_step, row_dots, row_norms,
+                              skew, unskew, unvec, vec)
 
 
 class TestSkew:
@@ -186,3 +187,62 @@ class TestDomainTypes:
         pose = Pose.identity()
         np.testing.assert_array_equal(pose.rotation, np.eye(3))
         np.testing.assert_array_equal(pose.translation, np.zeros(3))
+
+
+def flagged(faults):
+    """(message, flagged row indices) for each ordered check."""
+    return [(message, np.flatnonzero(mask).tolist()) for mask, message in faults]
+
+
+class TestRowFaults:
+    """The vectorized value checks that the correspondence sets run: one
+    boolean mask per check over the rows, in order."""
+
+    def test_row_dots_match_single_pair_dot(self, rng):
+        a = rng.normal(size=(200, 3))
+        b = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-8, 8, size=(200, 1))
+        dots = row_dots(a, b)
+        norms = row_norms(a)
+        for i in range(200):
+            assert dots[i] == np.dot(a[i], b[i])
+            assert norms[i] == np.linalg.norm(a[i])
+
+    def test_ray_faults_flag_non_unit_bearing(self):
+        bearings = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [0.6, 0.8, 0.0]])
+        assert flagged(ray_faults(bearings, np.zeros((3, 3)))) == [
+            ("ray entries must be finite", []),
+            ("bearing must be unit length", [1])]
+
+    def test_line_faults_flag_non_unit_direction(self):
+        directions = np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        assert flagged(line_faults(directions, np.zeros((2, 3)))) == [
+            ("line entries must be finite", []),
+            ("direction must be unit length", [0]),
+            ("moment must be orthogonal to the direction", [])]
+
+    def test_line_faults_flag_constraint_violation(self):
+        directions = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        moments = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0]])
+        assert flagged(line_faults(directions, moments)) == [
+            ("line entries must be finite", []),
+            ("direction must be unit length", []),
+            ("moment must be orthogonal to the direction", [1])]
+
+    def test_line_through_point_passes_line_checks(self, rng):
+        # The Plücker line through p with unit direction d has moment p x d.
+        points = rng.normal(size=(50, 3)) * 10.0
+        directions = rng.normal(size=(50, 3))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        faults = line_faults(directions, np.cross(points, directions))
+        assert all(rows == [] for _, rows in flagged(faults))
+        check_rows(faults)
+
+    def test_check_rows_reports_first_row_then_first_check(self):
+        first = np.array([False, False, True])
+        second = np.array([False, True, True])
+        with pytest.raises(ValueError, match="^second$"):
+            check_rows([(first, "first"), (second, "second")])
+        # Row 2 fails both checks: the earlier check's message wins.
+        with pytest.raises(ValueError, match="^first$"):
+            check_rows([(first, "first"), (first.copy(), "second")])
+        check_rows([(np.zeros(3, bool), "first")])

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from poseamm import PointRaySet, RayPairSet, bench
+from poseamm.absolute import build_gpnp_form
 from poseamm.bench import (FAMILIES, INIT_IDENTITY, INIT_LINEAR, RIG_CENTRAL,
                            RIG_NON_CENTRAL, SceneConfig, _MIN_CAMERA_DISTANCE_RATIO,
                            generate_absolute_scene,
                            generate_relative_scene, run_sweep)
+from poseamm.exceptions import PoseSolverError
 from poseamm.fileio import records_to_csv
 from poseamm.geometry import UNIT_TOL, Pose, rodrigues_step
+from poseamm.relative import build_gec_form
 
 # The per-point helpers of the generator that built each scene one point
 # at a time, frozen verbatim: the oracles below compare the shipped
@@ -438,6 +441,45 @@ class TestSequenceAccess:
             np.testing.assert_array_equal(got, array[:4])
         assert len(scene[::-2]) == 4
         assert len(scene[10:]) == 0
+
+    @staticmethod
+    def _form(corrs):
+        if isinstance(corrs, PointRaySet):
+            return build_gpnp_form(corrs)
+        return build_gec_form(corrs)
+
+    def test_set_of_sliced_arrays_equals_slice(self, scene):
+        for index in (slice(2, 5), slice(None, None, -3), slice(-4, None),
+                      slice(1, 7, 2)):
+            rebuilt = type(scene)(*(array[index] for array in self._arrays(scene)))
+            for got, want in zip(self._arrays(rebuilt), self._arrays(scene[index])):
+                np.testing.assert_array_equal(got, want)
+
+    def test_reversed_slice_reverses_rows_and_keeps_fold(self, scene):
+        reversed_scene = scene[::-1]
+        for got, array in zip(self._arrays(reversed_scene), self._arrays(scene)):
+            np.testing.assert_array_equal(got, array[::-1])
+        h = self._form(scene).h
+        np.testing.assert_allclose(self._form(reversed_scene).h, h,
+                                   rtol=0, atol=1e-13 * np.abs(h).max())
+
+    def test_tiled_rows_fold_scales(self, scene):
+        tiled = type(scene)(*(np.tile(array, (20, 1))
+                              for array in self._arrays(scene)))
+        assert len(tiled) == 140
+        for got, array in zip(self._arrays(tiled), self._arrays(scene)):
+            np.testing.assert_array_equal(got, np.tile(array, (20, 1)))
+        h = self._form(scene).h
+        np.testing.assert_allclose(self._form(tiled).h, 20.0 * h,
+                                   rtol=0, atol=1e-12 * np.abs(h).max())
+
+    def test_empty_set_has_row_shape_and_no_fold(self, scene):
+        for empty in (scene[7:], scene[3:3],
+                      type(scene)(*(np.empty((0, 3)) for _ in self._arrays(scene)))):
+            assert len(empty) == 0
+            assert all(array.shape == (0, 3) for array in self._arrays(empty))
+            with pytest.raises(PoseSolverError, match="no (point-ray|ray) corr"):
+                self._form(empty)
 
 
 def test_unit_tolerance_matches_oracle_near_boundary():
