@@ -228,7 +228,7 @@ class TestRowFaults:
             ("direction must be unit length", []),
             ("moment must be orthogonal to the direction", [1])]
 
-    def test_line_through_point_passes_line_checks(self, rng):
+    def test_line_of_point_and_direction_passes_line_checks(self, rng):
         # The Plücker line through p with unit direction d has moment p x d.
         points = rng.normal(size=(50, 3)) * 10.0
         directions = rng.normal(size=(50, 3))
