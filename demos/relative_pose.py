@@ -18,7 +18,7 @@ def main():
         config = SceneConfig(seed=11, rig="non_central", noise_sigma_px=sigma)
         truth, corrs = generate_relative_scene(config)
         form = build_gec_form(corrs)
-        guess = init_relative_17pt(corrs)
+        guess = init_relative_17pt(form)
         init_errs = pose_errors(truth, guess)
         result = solve_amm(form, guess.translation, rotation_init=guess.rotation)
         refined = pose_errors(truth, result.pose)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -81,6 +82,15 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_correspondences", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(None if isinstance(value, (bool, np.bool_)) else value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        depths = self.point_depth_range
+        if np.shape(depths) != (2,):
+            raise ValueError(f"point_depth_range must be a pair, got {depths!r}")
         for name in ("noise_sigma_px", "focal_px", "rig_extent", "point_depth_range",
                      "rotation_max_angle", "translation_extent"):
             value = getattr(self, name)
@@ -92,8 +102,7 @@ class SceneConfig:
             raise ValueError("noise sigma must be >= 0 and focal length > 0")
         if self.rig not in (RIG_CENTRAL, RIG_NON_CENTRAL):
             raise ValueError(f"unknown rig kind {self.rig!r}")
-        lo, hi = self.point_depth_range
-        if not (0 < lo <= hi):
+        if not (0 < depths[0] <= depths[1]):
             raise ValueError("point_depth_range must be positive and ordered")
         if self.rig_extent < 0 or self.translation_extent < 0:
             raise ValueError("extents must be nonnegative")
@@ -245,17 +254,11 @@ def mean_records(records: Sequence[TrialRecord]) -> list:
     rounded to integers, converged means every trial of the group
     converged.
     """
-    order = []
     groups = {}
     for record in records:
-        key = (record.noise_sigma, record.solver_name)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(record)
+        groups.setdefault((record.noise_sigma, record.solver_name), []).append(record)
     means = []
-    for noise_sigma, solver_name in order:
-        group = groups[(noise_sigma, solver_name)]
+    for (noise_sigma, solver_name), group in groups.items():
         n = len(group)
         means.append(TrialRecord(
             noise_sigma=noise_sigma,
@@ -293,13 +296,13 @@ def build_objective(solver: str, corrs):
 
 
 def initial_pose(solver: str, init: str, corrs, objective) -> Pose:
-    """The seed pose a named solver starts from under the given init policy."""
+    """The seed pose a named solver starts from under ``init``; ``corrs`` is unused."""
     if init == INIT_IDENTITY:
         return init_identity()
     if init != INIT_LINEAR:
         raise ValueError(f"unknown initializer {init!r}")
     if solver == SOLVER_GEC:
-        return init_relative_17pt(corrs)
+        return init_relative_17pt(objective)
     return init_absolute_linear(objective)
 
 

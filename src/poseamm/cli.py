@@ -110,13 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _amm_config(args) -> AmmConfig:
-    config = AmmConfig()
-    updates = {}
-    if args.tol is not None:
-        updates["tol_outer"] = args.tol
-    if args.max_iters is not None:
-        updates["max_outer_iters"] = args.max_iters
-    return replace(config, **updates) if updates else config
+    updates = {"tol_outer": args.tol, "max_outer_iters": args.max_iters}
+    return replace(AmmConfig(), **{k: v for k, v in updates.items() if v is not None})
 
 
 def _cmd_bench(args) -> int:

@@ -203,16 +203,10 @@ def write_correspondence_file(path, kind: str, corrs) -> None:
 
 def record_to_csv_row(record: TrialRecord) -> str:
     return ",".join([
-        _fmt(record.noise_sigma),
-        str(record.trial_index),
-        record.solver_name,
-        _fmt(record.rot_err_frobenius),
-        _fmt(record.trans_err_norm),
-        str(record.wall_time_ns),
-        str(record.outer_iterations),
-        _fmt(record.final_objective),
-        "1" if record.converged else "0",
-    ])
+        _fmt(record.noise_sigma), str(record.trial_index), record.solver_name,
+        _fmt(record.rot_err_frobenius), _fmt(record.trans_err_norm),
+        str(record.wall_time_ns), str(record.outer_iterations),
+        _fmt(record.final_objective), "1" if record.converged else "0"])
 
 
 def records_to_csv(records: Sequence[TrialRecord]) -> str:
@@ -233,6 +227,12 @@ def _parse_csv_row(row: str, lineno: int) -> TrialRecord:
     if len(fields) != 9:
         raise ParseError(f"line {lineno}: expected 9 CSV fields, got {len(fields)}")
     try:
+        # Fields must read back to their own bytes (``csv_round_trip``).
+        if (fields[8] not in ("0", "1")
+                or any(str(int(fields[i])) != fields[i] for i in (1, 5, 6))
+                or any("_" in fields[i] or fields[i].strip() != fields[i]
+                       for i in (0, 3, 4, 7))):
+            raise ValueError
         return TrialRecord(
             noise_sigma=float(fields[0]),
             trial_index=int(fields[1]),

@@ -2,9 +2,9 @@
 
 Linear least-squares estimates stand in for minimal solvers here: on
 inlier-only data they are accurate enough to seed gradient descent, and
-they need no polynomial machinery. Where a seed's system is homogeneous
-(the 17-point seed always, the absolute seed on single-center data), both
-take the null direction of a folded quadric through ``_null_direction``.
+they need no polynomial machinery. Both read a built ``QuadricForm``, at a
+cost free of N; where its system is homogeneous (the 17-point seed always,
+the absolute seed on single-center data), a seed takes ``_null_direction``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 from .exceptions import PoseSolverError
 from .geometry import Pose, project_to_so3, unskew, unvec
 from .objectives import QuadricForm
-from .relative import RayPairSet, gec_rows
 
 
 def init_identity() -> Pose:
@@ -34,25 +33,28 @@ def _null_direction(eigvals, eigvecs, system: str) -> np.ndarray:
     return -null if np.linalg.det(unvec(null[-9:])) < 0.0 else null
 
 
-def init_relative_17pt(corrs: RayPairSet) -> Pose:
-    """Nullspace estimate of [vec(E); vec(R)] from the balanced GEC fold.
+def init_relative_17pt(form: QuadricForm) -> Pose:
+    """Nullspace estimate of [vec(E); vec(R)] from the balanced GEC form.
 
-    The N x 18 constraint rows fix the stacked variable up to scale and
-    sign. Their E columns are unit products of directions, their R columns
-    carry the moments, so the E columns are first scaled by
-    c = ||R columns||_F / ||E columns||_F (balanced as in Hartley, TPAMI
-    1997), which makes the seed independent of the scene's units. The null
-    direction of the folded 18x18 rows'rows, E block times c, gives R by
-    SO(3) projection, the scale as the mean singular value of the R block,
-    and t from skew(t) = E R'. Two central cameras give c = 0 and raise.
+    H folds the N x 18 constraint rows. Their E columns are unit products
+    of directions, their R columns carry the moments, so the E columns are
+    scaled by c = ||R columns||_F / ||E columns||_F = sqrt(tr H_RR / tr H_EE)
+    (balanced as in Hartley, TPAMI 1997; the seed is then free of the
+    scene's units): D H D, D = diag(c I9, I9), folds the scaled rows. Its
+    null direction, E block times c, gives R by SO(3) projection, the scale
+    as the mean singular value of the R block, and t from skew(t) = E R'.
+    Under 17 rows, central cameras (c = 0) and a zero E block raise
+    PoseSolverError; a form over another lift raises ValueError.
     """
-    if len(corrs) < 17:
-        raise PoseSolverError(
-            f"need at least 17 ray correspondences, got {len(corrs)}")
-    rows = gec_rows(corrs)
-    balance = np.linalg.norm(rows[:, 9:]) / np.linalg.norm(rows[:, :9])
-    rows[:, :9] *= balance
-    null = _null_direction(*np.linalg.eigh(rows.T @ rows), "GEC fold")
+    h = form.h
+    if h.shape != (18, 18):
+        raise ValueError("init_relative_17pt needs a form over phi = [vec(E); vec(R)]")
+    trace_e = np.trace(h[:9, :9])
+    if not trace_e > 0.0:
+        raise PoseSolverError("GEC form has a zero E block to balance")
+    balance = np.sqrt(np.trace(h[9:, 9:]) / trace_e)
+    d = np.repeat([balance, 1.0], 9)
+    null = _null_direction(*np.linalg.eigh(h * np.outer(d, d)), "GEC fold")
     b = unvec(null[9:])
     rotation = project_to_so3(b)
     scale = float(np.linalg.svd(b, compute_uv=False).mean())

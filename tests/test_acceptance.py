@@ -188,7 +188,7 @@ def test_criterion_4_amm_structural_invariants():
                 if problem == "relative":
                     _, corrs = generate_relative_scene(config, rng)
                     objectives = {"amm-gec": build_gec_form(corrs)}
-                    inits = {"amm-gec": init_relative_17pt(corrs)}
+                    inits = {"amm-gec": init_relative_17pt(objectives["amm-gec"])}
                 else:
                     _, corrs = generate_absolute_scene(config, rng)
                     objectives = {"amm-gpnp": build_gpnp_form(corrs),

@@ -143,7 +143,8 @@ def _criterion_4_grid():
                 rng = np.random.default_rng([seed, int(sigma), trial])
                 if problem == "relative":
                     _, corrs = generate_relative_scene(config, rng)
-                    yield build_gec_form(corrs), init_relative_17pt(corrs)
+                    form = build_gec_form(corrs)
+                    yield form, init_relative_17pt(form)
                 else:
                     _, corrs = generate_absolute_scene(config, rng)
                     for form in (build_gpnp_form(corrs), build_upnp_form(corrs)):
@@ -391,7 +392,7 @@ class TestBlockQuadricPath:
         # are called only for the outer values.
         _, corrs = generate_relative_scene(SceneConfig(seed=4, noise_sigma_px=2.0))
         form = build_gec_form(corrs)
-        pose0 = init_relative_17pt(corrs)
+        pose0 = init_relative_17pt(form)
         counter = CallCounter(form)
         direct = solve_amm(form, pose0.translation, rotation_init=pose0.rotation)
         proxied = solve_amm(counter, pose0.translation, rotation_init=pose0.rotation)
@@ -440,7 +441,7 @@ class TestBlockQuadricPath:
                 if rig == RIG_NON_CENTRAL:
                     _, rays = generate_relative_scene(config)
                     gec = build_gec_form(rays)
-                    cases += [(gec, init_identity()), (gec, init_relative_17pt(rays))]
+                    cases += [(gec, init_identity()), (gec, init_relative_17pt(gec))]
                 for form, pose0 in cases:
                     result = solve_amm(form, pose0.translation,
                                        rotation_init=pose0.rotation)

@@ -307,7 +307,7 @@ def _generic_cases():
         cases += [(f"gpnp-{seed}", gpnp, pose.rotation, pose.translation),
                   (f"upnp-{seed}", upnp, np.eye(3), np.zeros(3)),
                   (f"gec-{seed}", gec, np.eye(3), np.zeros(3))]
-        pose = init_relative_17pt(rays)
+        pose = init_relative_17pt(gec)
         cases.append((f"gec-linear-{seed}", gec, pose.rotation, pose.translation))
     return cases
 

@@ -94,6 +94,28 @@ class TestSceneGeneration:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SceneConfig(**{name: value})
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("num_correspondences", 2.5, "must be an integer"),
+        ("num_correspondences", True, "must be an integer"),
+        ("num_correspondences", np.True_, "must be an integer"),
+        ("num_correspondences", "20", "must be an integer"),
+        ("seed", 1.5, "must be an integer"), ("seed", False, "must be an integer"),
+        ("seed", None, "must be an integer"),
+        ("point_depth_range", 5.0, "must be a pair"),
+        ("point_depth_range", (4.0,), "must be a pair"),
+        ("point_depth_range", (4.0, 6.0, 8.0), "must be a pair"),
+        ("point_depth_range", "48", "must be a pair"),
+    ])
+    def test_config_rejects_what_a_sweep_cannot_use(self, name, value, message):
+        with pytest.raises(ValueError, match=f"{name} {message}"):
+            SceneConfig(**{name: value})
+
+    def test_config_takes_numpy_integers(self):
+        config = SceneConfig(num_correspondences=np.int64(17), seed=np.uint32(5))
+        records = run_sweep(config, "relative", [0.0], trials=1, measure_time=False)
+        assert records == run_sweep(SceneConfig(num_correspondences=17, seed=5),
+                                    "relative", [0.0], trials=1, measure_time=False)
+
 
 class TestPixelNoise:
     def test_zero_sigma_exact(self, rng):

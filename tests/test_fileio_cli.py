@@ -106,6 +106,22 @@ class TestSweepCsv:
         with pytest.raises(ParseError, match="line 2"):
             fileio.read_sweep_csv(io.StringIO(text))
 
+    # Fields that int or float would read, but that do not read back to
+    # their own bytes, and fields that read as nothing at all.
+    @pytest.mark.parametrize("row", [
+        "x,0,amm-gpnp,1,2,0,3,0.5,1", "0,0,amm-gpnp,1,2,0,3,0.5,",
+        "0,0,amm-gpnp,1,2,0,3,0.5,2", "0,0,amm-gpnp,1,2,0,3,0.5,yes",
+        "0,1_0,amm-gpnp,1,2,0,3,0.5,1", "0, 3,amm-gpnp,1,2,0,3,0.5,1",
+        "0,03,amm-gpnp,1,2,0,3,0.5,1", "0,+3,amm-gpnp,1,2,0,3,0.5,1",
+        "0,0,amm-gpnp,1,2,1.0,3,0.5,1", "0,0,amm-gpnp,1,2,0,3 ,0.5,1",
+        "0,0,amm-gpnp,1_0,2,0,3,0.5,1", "0,0,amm-gpnp,1,2 ,0,3,0.5,1",
+        " 0,0,amm-gpnp,1,2,0,3,0.5,1", "0,0,amm-gpnp,1,2,0,3,\t0.5,1",
+    ])
+    def test_malformed_field_raises(self, row):
+        text = f"{fileio.CSV_HEADER}\n0,0,amm-gpnp,1,2,0,3,0.5,1\n{row}\n"
+        with pytest.raises(ParseError, match="line 3: malformed CSV field"):
+            fileio.csv_round_trip(text)
+
 
 class TestSweepCsvLineBreaks:
     # str.splitlines also breaks lines at these; only "\n" ends a row.

@@ -17,6 +17,7 @@ SIZES = (1, 3, 17, 20, 500)
 RIGS = ("central", "non_central")
 FOLD_REL_TOL = 1e-12
 PEAK_BYTES = 16 * 2**20
+SEED_PEAK_BYTES = 64 * 2**10
 
 
 def reference_gpnp_blocks(corrs):
@@ -170,6 +171,8 @@ class TestFoldMemory:
         assert _peak_bytes(build_upnp_form, corrs) < PEAK_BYTES
 
     def test_17pt_seed_at_2000(self):
-        corrs = scene("relative", 2000, "non_central")
-        assert _peak_bytes(init_relative_17pt, corrs) < PEAK_BYTES
+        # The seed reads the built 18 x 18 form, so its peak does not grow
+        # with N: it is about 10 kB here, as at N = 20.
+        form = build_gec_form(scene("relative", 2000, "non_central"))
+        assert _peak_bytes(init_relative_17pt, form) < SEED_PEAK_BYTES
 

@@ -6,10 +6,29 @@ from poseamm.amm import AmmConfig, solve_amm
 from poseamm.bench import (SceneConfig, generate_absolute_scene,
                            generate_relative_scene, pose_errors)
 from poseamm.exceptions import PoseSolverError
-from poseamm.geometry import rodrigues_step, skew, vec
-from poseamm.initializers import (init_absolute_linear, init_identity,
-                                  init_relative_17pt)
+from poseamm.geometry import project_to_so3, rodrigues_step, skew, unskew, unvec, vec
+from poseamm.initializers import (_null_direction, init_absolute_linear,
+                                  init_identity, init_relative_17pt)
+from poseamm.objectives import GEC_LIFT, QuadricForm
 from poseamm.relative import RayPairSet, build_gec_form, gec_rows
+
+
+def reference_17pt(corrs):
+    """The 17-point seed as the balanced fold of the rows computes it: scale
+    the E columns of the GEC rows by ||R columns|| / ||E columns||, fold
+    the scaled rows, and read R, scale and t off their null direction."""
+    rows = gec_rows(corrs)
+    balance = np.linalg.norm(rows[:, 9:]) / np.linalg.norm(rows[:, :9])
+    rows[:, :9] *= balance
+    null = _null_direction(*np.linalg.eigh(rows.T @ rows), "GEC fold")
+    b = unvec(null[9:])
+    rotation = project_to_so3(b)
+    scale = float(np.linalg.svd(b, compute_uv=False).mean())
+    return rotation, unskew(unvec(null[:9]) @ rotation.T * (balance / scale))
+
+
+def seed_of(corrs):
+    return init_relative_17pt(build_gec_form(corrs))
 
 
 class TestInitRelative17pt:
@@ -18,29 +37,46 @@ class TestInitRelative17pt:
         for seed in range(10):
             truth, corrs = generate_relative_scene(
                 SceneConfig(seed=seed, num_correspondences=n))
-            pose = init_relative_17pt(corrs)
+            pose = seed_of(corrs)
             rot_err, trans_err = pose_errors(truth, pose)
             assert rot_err < 1e-6
             assert trans_err < 1e-5
 
+    @pytest.mark.parametrize("sigma", [0.0, 2.0])
+    @pytest.mark.parametrize("n", [17, 20, 200, 2000])
+    def test_matches_balanced_fold_of_rows(self, n, sigma):
+        # D H D with D = diag(c I9, I9) is the fold of the balanced rows,
+        # so the seed read off the form agrees with the rows to rounding.
+        for seed in range(5 if n < 2000 else 2):
+            _, corrs = generate_relative_scene(SceneConfig(
+                seed=seed, num_correspondences=n, noise_sigma_px=sigma))
+            rotation, translation = reference_17pt(corrs)
+            pose = seed_of(corrs)
+            assert np.abs(pose.rotation - rotation).max() <= 1e-8
+            bound = 1e-8 * max(1.0, np.linalg.norm(translation))
+            assert np.abs(pose.translation - translation).max() <= bound
+
     def test_deterministic(self):
         _, corrs = generate_relative_scene(SceneConfig(seed=40, noise_sigma_px=2.0))
-        first = init_relative_17pt(corrs)
-        second = init_relative_17pt(corrs)
+        form = build_gec_form(corrs)
+        first = init_relative_17pt(form)
+        second = init_relative_17pt(form)
         np.testing.assert_array_equal(first.rotation, second.rotation)
         np.testing.assert_array_equal(first.translation, second.translation)
 
     def test_too_few_correspondences(self):
+        # Sixteen rows fold to rank at most 16, so the null direction of
+        # the 18 x 18 form is not unique.
         _, corrs = generate_relative_scene(SceneConfig(seed=1, num_correspondences=16))
-        with pytest.raises(PoseSolverError, match="need at least 17 ray correspondences"):
-            init_relative_17pt(corrs)
+        with pytest.raises(PoseSolverError, match="nullspace is not unique"):
+            seed_of(corrs)
 
     def test_degenerate_nullspace(self):
         # One correspondence repeated: the constraint stack has rank 1 and
         # the nullspace is 17-dimensional.
         _, corrs = generate_relative_scene(SceneConfig(seed=2, num_correspondences=1))
         with pytest.raises(PoseSolverError, match="nullspace is not unique"):
-            init_relative_17pt(RayPairSet(*(np.tile(rows, (20, 1)) for rows in (
+            seed_of(RayPairSet(*(np.tile(rows, (20, 1)) for rows in (
                 corrs.d1, corrs.m1, corrs.d2, corrs.m2))))
 
     def test_central_cameras_raise(self):
@@ -48,7 +84,16 @@ class TestInitRelative17pt:
         # so the fold is zero and has no unique null direction.
         _, corrs = generate_relative_scene(SceneConfig(seed=4, rig="central"))
         with pytest.raises(PoseSolverError, match="nullspace is not unique"):
-            init_relative_17pt(corrs)
+            seed_of(corrs)
+
+    def test_zero_e_block_raises(self):
+        with pytest.raises(PoseSolverError, match="zero E block"):
+            init_relative_17pt(QuadricForm(np.zeros((18, 18)), GEC_LIFT))
+
+    def test_rejects_absolute_form(self):
+        _, corrs = generate_absolute_scene(SceneConfig(seed=1))
+        with pytest.raises(ValueError, match="phi"):
+            init_relative_17pt(build_gpnp_form(corrs))
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e4, 1e6])
     def test_seed_independent_of_scene_units(self, scale):
@@ -58,17 +103,17 @@ class TestInitRelative17pt:
         for seed in range(5):
             _, corrs = generate_relative_scene(
                 SceneConfig(seed=seed, noise_sigma_px=2.0))
-            base = init_relative_17pt(corrs)
+            base = seed_of(corrs)
             scaled = RayPairSet(corrs.d1, corrs.m1 * scale, corrs.d2,
                                 corrs.m2 * scale)
-            pose = init_relative_17pt(scaled)
+            pose = seed_of(scaled)
             assert np.abs(pose.rotation - base.rotation).max() <= 1e-12
             bound = 1e-11 * max(1.0, np.linalg.norm(base.translation))
             assert np.abs(pose.translation / scale - base.translation).max() <= bound
 
     def test_nullspace_residual_small(self):
         truth, corrs = generate_relative_scene(SceneConfig(seed=3))
-        pose = init_relative_17pt(corrs)
+        pose = seed_of(corrs)
         stack = gec_rows(corrs)
         essential = skew(pose.translation) @ pose.rotation
         v = np.concatenate([vec(essential), vec(pose.rotation)])
