@@ -1,7 +1,7 @@
 """Absolute pose objectives from 3D-point-to-ray correspondences.
 
 Both objectives reduce to the same 13x13 quadric over
-phi = [vec(R); t; 1] (``objectives.ABSOLUTE_LIFT``), by different routes.
+phi = [vec(R); t; 1] (``objectives.AbsoluteForm``), by different routes.
 Each emits three residual rows per correspondence against phi, and the
 rows are folded once into the form:
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .exceptions import PoseSolverError
 from .geometry import RAY_SHAPE_MESSAGE, check_rows, frozen_rows, ray_faults
-from .objectives import ABSOLUTE_LIFT, QuadricForm
+from .objectives import AbsoluteForm
 
 _RANK_TOL = 1e-10  # on the smallest eigenvalue of the stacked normal matrix
 
@@ -100,13 +100,13 @@ def gpnp_rows(corrs: PointRaySet) -> np.ndarray:
     return _projected_rows(points, proj, offsets).reshape(-1, 13)
 
 
-def build_gpnp_form(corrs: PointRaySet) -> QuadricForm:
+def build_gpnp_form(corrs: PointRaySet) -> AbsoluteForm:
     """Fold the summed squared point-to-ray distances into a quadric form.
 
     Fewer than three correspondences leave the pose underdetermined; the
     form is still built.
     """
-    return QuadricForm.from_rows(gpnp_rows(corrs), ABSOLUTE_LIFT)
+    return AbsoluteForm.from_rows(gpnp_rows(corrs))
 
 
 def _depth_system_min_eigenvalue(bearings: np.ndarray) -> float:
@@ -158,6 +158,6 @@ def upnp_rows(corrs: PointRaySet) -> np.ndarray:
     return rows.reshape(-1, 13)
 
 
-def build_upnp_form(corrs: PointRaySet) -> QuadricForm:
+def build_upnp_form(corrs: PointRaySet) -> AbsoluteForm:
     """Fold the summed squared depth-eliminated residuals into a quadric form."""
-    return QuadricForm.from_rows(upnp_rows(corrs), ABSOLUTE_LIFT)
+    return AbsoluteForm.from_rows(upnp_rows(corrs))

@@ -157,30 +157,6 @@ class AmmResult:
     objective_trace: tuple
 
 
-def _value_lines(value):
-    """``start(x) -> (value(x), f)`` for line searches by value differences.
-
-    ``f(new)`` returns value(new) and remembers it until the next start;
-    a start at a point ``f`` was called on reuses that value, so the
-    objective is evaluated once per point, as a loop that carries the
-    value of its accepted trial would.
-    """
-    seen = {}
-
-    def start(x):
-        nonlocal seen
-        fx = seen.get(x.tobytes())
-        if fx is None:
-            fx = value(x)
-        trials = seen = {}
-
-        def f(new):
-            out = trials[new.tobytes()] = value(new)
-            return out
-        return fx, f
-    return start
-
-
 def _rotation_block(objective: PoseObjective, t: np.ndarray):
     """(gradient, curvature, line) of the objective over rotations at t.
 
@@ -206,10 +182,13 @@ def _rotation_block(objective: PoseObjective, t: np.ndarray):
     """
     quadric = getattr(objective, "rotation_quadric", None)
     if quadric is None:
-        start = _value_lines(lambda x: float(objective.value(x, t)))
+        seen = {}   # the last line's trial values: a line from a trial reuses its value
 
         def line(x):
-            fx, f = start(x)
+            fx = seen.pop(x.tobytes(), None)
+            if fx is None:
+                fx = float(objective.value(x, t))
+            seen.clear()
 
             def search(axis, gu, gw):
                 a0, a1, a2 = axis
@@ -219,7 +198,12 @@ def _rotation_block(objective: PoseObjective, t: np.ndarray):
 
                 def point(s, c):
                     return x + s * kx + c * k2x
-                return (lambda s, c: f(point(s, c)) - fx), point
+
+                def delta(s, c):
+                    new = point(s, c)
+                    seen[new.tobytes()] = fnew = float(objective.value(new, t))
+                    return fnew - fx
+                return delta, point
             return search
 
         return (lambda x: np.asarray(objective.rotation_gradient(x, t), dtype=float),

@@ -150,27 +150,12 @@ def random_pose(rng: np.random.Generator, config: SceneConfig) -> Pose:
 def _pixel_noise_rows(bearings: np.ndarray, draws: np.ndarray,
                       focal_px: float) -> np.ndarray:
     """The pixel-noise model on (N, 3) unit bearings and their (N, 2)
-    tangent offsets in pixels."""
+    tangent offsets in pixels, which turn each bearing by offset / focal_px
+    radians per tangent axis before it is renormalized."""
     helper = np.eye(3)[np.abs(bearings).argmin(axis=1)]
     e1 = _unit_rows(np.cross(bearings, helper))
     e2 = np.cross(bearings, e1)
     return _unit_rows(bearings + (draws[:, :1] * e1 + draws[:, 1:] * e2) / focal_px)
-
-
-def apply_pixel_noise(bearing, sigma_px: float, focal_px: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Perturb a unit bearing by Gaussian pixel noise in its tangent plane.
-
-    Independent offsets with standard deviation ``sigma_px`` are applied
-    to the two tangent coordinates scaled at distance ``focal_px``, then
-    the result is renormalized; per-axis angular deviation is therefore
-    sigma_px / focal_px radians. Zero sigma returns the input unchanged.
-    """
-    b = np.asarray(bearing, dtype=float)
-    if sigma_px == 0.0:
-        return b
-    draws = rng.normal(0.0, sigma_px, size=2)
-    return _pixel_noise_rows(b[None], draws[None], focal_px)[0]
 
 
 def _camera_offset(rng: np.random.Generator, config: SceneConfig) -> np.ndarray:

@@ -227,13 +227,7 @@ def _parse_csv_row(row: str, lineno: int) -> TrialRecord:
     if len(fields) != 9:
         raise ParseError(f"line {lineno}: expected 9 CSV fields, got {len(fields)}")
     try:
-        # Fields must read back to their own bytes (``csv_round_trip``).
-        if (fields[8] not in ("0", "1")
-                or any(str(int(fields[i])) != fields[i] for i in (1, 5, 6))
-                or any("_" in fields[i] or fields[i].strip() != fields[i]
-                       for i in (0, 3, 4, 7))):
-            raise ValueError
-        return TrialRecord(
+        record = TrialRecord(
             noise_sigma=float(fields[0]),
             trial_index=int(fields[1]),
             solver_name=fields[2],
@@ -244,6 +238,10 @@ def _parse_csv_row(row: str, lineno: int) -> TrialRecord:
             final_objective=float(fields[7]),
             converged=fields[8] == "1",
         )
+        # Fields must read back to their own bytes (``csv_round_trip``).
+        if record_to_csv_row(record) != row:
+            raise ValueError
+        return record
     except ValueError:
         raise ParseError(f"line {lineno}: malformed CSV field") from None
 

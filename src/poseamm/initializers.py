@@ -2,9 +2,10 @@
 
 Linear least-squares estimates stand in for minimal solvers here: on
 inlier-only data they are accurate enough to seed gradient descent, and
-they need no polynomial machinery. Both read a built ``QuadricForm``, at a
-cost free of N; where its system is homogeneous (the 17-point seed always,
-the absolute seed on single-center data), a seed takes ``_null_direction``.
+they need no polynomial machinery. Both read a built form (``GecForm``,
+``AbsoluteForm``) at a cost free of N; where its system is homogeneous
+(the 17-point seed always, the absolute seed on single-center data), a
+seed takes ``_null_direction``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .exceptions import PoseSolverError
 from .geometry import Pose, project_to_so3, unskew, unvec
-from .objectives import QuadricForm
+from .objectives import AbsoluteForm, GecForm
 
 
 def init_identity() -> Pose:
@@ -33,7 +34,7 @@ def _null_direction(eigvals, eigvecs, system: str) -> np.ndarray:
     return -null if np.linalg.det(unvec(null[-9:])) < 0.0 else null
 
 
-def init_relative_17pt(form: QuadricForm) -> Pose:
+def init_relative_17pt(form: GecForm) -> Pose:
     """Nullspace estimate of [vec(E); vec(R)] from the balanced GEC form.
 
     H folds the N x 18 constraint rows. Their E columns are unit products
@@ -44,7 +45,7 @@ def init_relative_17pt(form: QuadricForm) -> Pose:
     null direction, E block times c, gives R by SO(3) projection, the scale
     as the mean singular value of the R block, and t from skew(t) = E R'.
     Under 17 rows, central cameras (c = 0) and a zero E block raise
-    PoseSolverError; a form over another lift raises ValueError.
+    PoseSolverError; a form of another size raises ValueError.
     """
     h = form.h
     if h.shape != (18, 18):
@@ -62,7 +63,7 @@ def init_relative_17pt(form: QuadricForm) -> Pose:
     return Pose(rotation, translation)
 
 
-def init_absolute_linear(form: QuadricForm) -> Pose:
+def init_absolute_linear(form: AbsoluteForm) -> Pose:
     """Unconstrained stationary point of an absolute form, projected to SO(3).
 
     With t eliminated, min_t phi'H phi = r'Pr + q'r + k over r = vec(R)
@@ -70,8 +71,8 @@ def init_absolute_linear(form: QuadricForm) -> Pose:
     solves its stationarity system 2 P r = -q, ignoring orthonormality,
     then projects r to SO(3) and recomputes the translation exactly at the
     projected rotation. Twelve unknowns need at least six correspondences;
-    fewer leave P singular and raise PoseSolverError. A form over another
-    lift raises ValueError.
+    fewer leave P singular and raise PoseSolverError. A form of another
+    size raises ValueError.
 
     Single-center data makes the reduced quadric homogeneous (q = 0),
     which turns stationarity into a gauge problem: every multiple of the

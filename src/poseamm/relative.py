@@ -8,9 +8,9 @@ Expanding the bilinear form per correspondence gives a coefficient
 of all correspondences are built in one vectorized pass over the (N, 3)
 arrays of a ``RayPairSet`` (the one form ray correspondences take, one
 row per pair of lines), and the fold H = A'A = sum_i a_i a_i' turns
-the summed squared constraint into the quadric phi'H phi over
-``objectives.GEC_LIFT``, evaluable in time independent of the number of
-correspondences. The lift holds the algebra of its block quadrics.
+the summed squared constraint into the quadric phi'H phi of an
+``objectives.GecForm``, evaluable in time independent of the number of
+correspondences. The form holds the algebra of its block quadrics.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .exceptions import PoseSolverError
 from .geometry import LINE_SHAPE_MESSAGE, check_rows, frozen_rows, line_faults
-from .objectives import GEC_LIFT, QuadricForm
+from .objectives import GecForm
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +81,6 @@ def gec_rows(corrs: RayPairSet) -> np.ndarray:
     return rows
 
 
-def build_gec_form(corrs: RayPairSet) -> QuadricForm:
+def build_gec_form(corrs: RayPairSet) -> GecForm:
     """The quadric H = A'A = sum_i a_i a_i' of the stacked rows A."""
-    return QuadricForm.from_rows(gec_rows(corrs), GEC_LIFT)
+    return GecForm.from_rows(gec_rows(corrs))

@@ -18,7 +18,7 @@ from poseamm.exceptions import PoseSolverError
 from poseamm.geometry import rodrigues_step, vec
 from poseamm.initializers import (init_absolute_linear, init_identity,
                                   init_relative_17pt)
-from poseamm.objectives import ABSOLUTE_LIFT, GEC_LIFT, PoseObjective, QuadricForm
+from poseamm.objectives import AbsoluteForm, GecForm, PoseObjective
 from poseamm.relative import build_gec_form
 
 
@@ -217,9 +217,9 @@ class TestTranslationSubsolve:
         # rounding, and no contract method is called.
         forms = []
         for trial in range(40):
-            lift = (ABSOLUTE_LIFT, GEC_LIFT)[trial % 2]
-            rows = rng.normal(size=(lift.size + 7, lift.size))
-            forms.append(QuadricForm(10.0 ** rng.uniform(-3, 3) * (rows.T @ rows), lift))
+            cls = (AbsoluteForm, GecForm)[trial % 2]
+            rows = rng.normal(size=(cls.size + 7, cls.size))
+            forms.append(cls(10.0 ** rng.uniform(-3, 3) * (rows.T @ rows)))
         for seed in range(4):
             config = SceneConfig(seed=seed, noise_sigma_px=4.0, rig=RIG_NON_CENTRAL)
             _, corrs = generate_absolute_scene(config)
@@ -239,7 +239,7 @@ class TestTranslationSubsolve:
         # One correspondence's point-to-ray block: no depth along the ray.
         h = np.zeros((13, 13))
         h[9:12, 9:12] = np.diag([1.0, 1.0, 0.0])
-        form = QuadricForm(h, ABSOLUTE_LIFT)
+        form = AbsoluteForm(h)
         with pytest.raises(PoseSolverError, match="translation block is singular"):
             translation_subsolve(form, np.zeros(3), np.eye(3))
         with pytest.raises(PoseSolverError, match="translation block is singular"):
@@ -386,18 +386,33 @@ class TestBlockQuadricPath:
             solves += 1
         assert solves == 90
 
-    def test_forwarding_proxy_keeps_the_quadric_path(self):
+    @pytest.mark.parametrize("solver", ["gpnp", "upnp", "gec"])
+    def test_forwarding_proxy_keeps_the_quadric_path(self, solver):
         # Quadrics are looked up with getattr, so a proxy that forwards
-        # attributes solves exactly like the form, and the contract methods
-        # are called only for the outer values.
-        _, corrs = generate_relative_scene(SceneConfig(seed=4, noise_sigma_px=2.0))
-        form = build_gec_form(corrs)
-        pose0 = init_relative_17pt(form)
+        # attributes seeds and solves exactly like the form: absolute forms
+        # take the reduced path, one outer iteration, and the contract
+        # methods are called only for the start, outer and final values.
+        config = SceneConfig(seed=4, noise_sigma_px=2.0, rig=RIG_NON_CENTRAL)
+        if solver == "gec":
+            form = build_gec_form(generate_relative_scene(config)[1])
+            seed = init_relative_17pt
+        else:
+            build = build_gpnp_form if solver == "gpnp" else build_upnp_form
+            form = build(generate_absolute_scene(config)[1])
+            seed = init_absolute_linear
         counter = CallCounter(form)
+        pose0 = seed(form)
+        proxied_pose0 = seed(counter)
+        np.testing.assert_array_equal(proxied_pose0.rotation, pose0.rotation)
+        np.testing.assert_array_equal(proxied_pose0.translation, pose0.translation)
         direct = solve_amm(form, pose0.translation, rotation_init=pose0.rotation)
-        proxied = solve_amm(counter, pose0.translation, rotation_init=pose0.rotation)
+        proxied = solve_amm(counter, proxied_pose0.translation,
+                            rotation_init=proxied_pose0.rotation)
         assert proxied.objective_trace == direct.objective_trace
         np.testing.assert_array_equal(proxied.pose.rotation, direct.pose.rotation)
+        np.testing.assert_array_equal(proxied.pose.translation, direct.pose.translation)
+        if solver != "gec":
+            assert direct.outer_iterations == 1
         assert counter.calls == {"value": direct.outer_iterations + 2,
                                  "rotation_gradient": 0,
                                  "translation_gradient": 0}
@@ -465,7 +480,7 @@ class MisleadingReducedQuadric(FrobeniusObjective):
 def _absolute_grid():
     """(form, linear seed pose) of the absolute solves of the criterion-4 grid."""
     return [(form, pose0) for form, pose0 in _criterion_4_grid()
-            if form.lift is ABSOLUTE_LIFT]
+            if isinstance(form, AbsoluteForm)]
 
 
 class TestReducedPath:
@@ -542,7 +557,7 @@ class TestReducedPath:
         # alternation, bit for bit.
         outer = []
         for form, pose0 in _criterion_4_grid():
-            if form.lift is not GEC_LIFT:
+            if not isinstance(form, GecForm):
                 continue
             direct = solve_amm(form, pose0.translation, rotation_init=pose0.rotation)
             alternation = solve_amm(BlockQuadricsOnly(form), pose0.translation,
@@ -683,7 +698,7 @@ class TestForcingSchedule:
 
 def _block_forms():
     """(name, form, translation, block minimizer) at the true translation of
-    a noisy non-central scene, for each shipped lift."""
+    a noisy non-central scene, for each shipped objective."""
     config = SceneConfig(seed=3, noise_sigma_px=2.0, rig=RIG_NON_CENTRAL)
     truth, corrs = generate_absolute_scene(config)
     truth_rel, rays = generate_relative_scene(config)
@@ -783,7 +798,7 @@ class TestNewtonSteps:
         rng = np.random.default_rng(seed)
         axis = rng.normal(size=3)
         start = minimizer @ rodrigues_step(axis / np.linalg.norm(axis), 0.05)
-        scaled = QuadricForm(2.0 ** k * form.h, form.lift)
+        scaled = type(form)(2.0 ** k * form.h)
         base, base_log = _solve_logging_steps(form, start, t)
         out, log = _solve_logging_steps(scaled, start, t)
         assert not any(steepest for steepest, _ in base_log), name

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pixel_noise_per_call
 from poseamm import bench
 from poseamm.absolute import build_gpnp_form, build_upnp_form
-from poseamm.bench import (SceneConfig, TrialRecord, apply_pixel_noise,
-                           generate_absolute_scene, generate_relative_scene,
-                           mean_records, pose_errors, run_sweep)
+from poseamm.bench import (SceneConfig, TrialRecord, generate_absolute_scene,
+                           generate_relative_scene, mean_records, pose_errors,
+                           run_sweep)
 from poseamm.exceptions import PoseSolverError
 from poseamm.geometry import Pose, rodrigues_step, skew
 from poseamm.relative import build_gec_form
@@ -118,17 +119,12 @@ class TestSceneGeneration:
 
 
 class TestPixelNoise:
-    def test_zero_sigma_exact(self, rng):
-        bearing = np.array([0.0, 0.6, 0.8])
-        out = apply_pixel_noise(bearing, 0.0, 800.0, rng)
-        np.testing.assert_array_equal(out, bearing)
-
     def test_output_unit_norm(self, rng):
-        for _ in range(200):
-            bearing = rng.normal(size=3)
-            bearing /= np.linalg.norm(bearing)
-            out = apply_pixel_noise(bearing, 5.0, 800.0, rng)
-            assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+        bearings = rng.normal(size=(200, 3))
+        bearings /= np.linalg.norm(bearings, axis=1)[:, None]
+        out = bench._pixel_noise_rows(bearings, rng.normal(0.0, 5.0, size=(200, 2)),
+                                      800.0)
+        assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() < 1e-12
 
     def test_monte_carlo_angular_deviation(self, rng):
         # Per-axis angular std must match sigma / focal within 5%.
@@ -141,12 +137,12 @@ class TestPixelNoise:
         e1 /= np.linalg.norm(e1)
         e2 = np.cross(bearing, e1)
         # One draw of all offsets consumes the stream exactly like 100 000
-        # apply_pixel_noise calls, which the first 100 rows confirm.
+        # per-bearing calls, which the first 100 rows confirm.
         per_call = copy.deepcopy(rng)
         draws = rng.normal(0.0, sigma, size=(100_000, 2))
         samples = bench._pixel_noise_rows(np.tile(bearing, (100_000, 1)), draws, focal)
         np.testing.assert_array_equal(
-            np.stack([apply_pixel_noise(bearing, sigma, focal, per_call)
+            np.stack([pixel_noise_per_call(bearing, sigma, focal, per_call)
                       for _ in range(100)]), samples[:100])
         expected = sigma / focal
         assert np.std(samples @ e1) == pytest.approx(expected, rel=0.05)

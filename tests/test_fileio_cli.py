@@ -116,6 +116,9 @@ class TestSweepCsv:
         "0,0,amm-gpnp,1,2,1.0,3,0.5,1", "0,0,amm-gpnp,1,2,0,3 ,0.5,1",
         "0,0,amm-gpnp,1_0,2,0,3,0.5,1", "0,0,amm-gpnp,1,2 ,0,3,0.5,1",
         " 0,0,amm-gpnp,1,2,0,3,0.5,1", "0,0,amm-gpnp,1,2,0,3,\t0.5,1",
+        "0,0,amm-gpnp,0.1,2,0,3,0.5,1", "1.50,0,amm-gpnp,1,2,0,3,0.5,1",
+        "0,0,amm-gpnp,1,1e0,0,3,0.5,1", "0,0,amm-gpnp,1,2,0,3,NaN,1",
+        "0,0,amm-gpnp,Infinity,2,0,3,0.5,1",
     ])
     def test_malformed_field_raises(self, row):
         text = f"{fileio.CSV_HEADER}\n0,0,amm-gpnp,1,2,0,3,0.5,1\n{row}\n"

@@ -10,7 +10,7 @@ from poseamm.absolute import build_gpnp_form, build_upnp_form
 from poseamm.bench import SceneConfig, generate_absolute_scene, generate_relative_scene
 from poseamm.exceptions import PoseSolverError
 from poseamm.initializers import init_relative_17pt
-from poseamm.objectives import ABSOLUTE_LIFT, GEC_LIFT, QuadricForm
+from poseamm.objectives import AbsoluteForm, GecForm
 from poseamm.relative import build_gec_form
 
 SIZES = (1, 3, 17, 20, 500)
@@ -145,10 +145,10 @@ class TestSharedFold:
         translation = rng.normal(size=3)
         r = rotation.reshape(9, order="F")
         e = np.cross(translation, rotation, axis=0).reshape(9, order="F")
-        for lift, phi in ((ABSOLUTE_LIFT, np.concatenate([r, translation, [1.0]])),
-                          (GEC_LIFT, np.concatenate([e, r]))):
-            rows = rng.normal(size=(30, lift.size))
-            form = QuadricForm.from_rows(rows, lift)
+        for cls, phi in ((AbsoluteForm, np.concatenate([r, translation, [1.0]])),
+                         (GecForm, np.concatenate([e, r]))):
+            rows = rng.normal(size=(30, cls.size))
+            form = cls.from_rows(rows)
             residual = rows @ phi
             assert form.value(rotation, translation) == pytest.approx(
                 float(residual @ residual), rel=1e-12)

@@ -9,7 +9,7 @@ from poseamm.exceptions import PoseSolverError
 from poseamm.geometry import project_to_so3, rodrigues_step, skew, unskew, unvec, vec
 from poseamm.initializers import (_null_direction, init_absolute_linear,
                                   init_identity, init_relative_17pt)
-from poseamm.objectives import GEC_LIFT, QuadricForm
+from poseamm.objectives import GecForm
 from poseamm.relative import RayPairSet, build_gec_form, gec_rows
 
 
@@ -88,7 +88,7 @@ class TestInitRelative17pt:
 
     def test_zero_e_block_raises(self):
         with pytest.raises(PoseSolverError, match="zero E block"):
-            init_relative_17pt(QuadricForm(np.zeros((18, 18)), GEC_LIFT))
+            init_relative_17pt(GecForm(np.zeros((18, 18))))
 
     def test_rejects_absolute_form(self):
         _, corrs = generate_absolute_scene(SceneConfig(seed=1))

@@ -8,7 +8,7 @@ from poseamm.absolute import build_gpnp_form, build_upnp_form, gpnp_rows, upnp_r
 from poseamm.bench import SceneConfig, generate_absolute_scene, generate_relative_scene
 from poseamm.exceptions import PoseSolverError
 from poseamm.geometry import vec
-from poseamm.objectives import ABSOLUTE_LIFT, GEC_LIFT, QuadricForm
+from poseamm.objectives import AbsoluteForm, GecForm, QuadricForm
 from poseamm.relative import build_gec_form, gec_rows
 
 
@@ -29,17 +29,17 @@ def absolute_form(rr=None, tt=None, t1=None, const=0.0):
     if t1 is not None:
         h[9:12, 12] = h[12, 9:12] = t1
     h[12, 12] = const
-    return QuadricForm(h, ABSOLUTE_LIFT)
+    return AbsoluteForm(h)
 
 
-def random_form(rng, scale=1.0, lift=ABSOLUTE_LIFT):
-    b = rng.normal(size=(lift.size + 7, lift.size))
-    return QuadricForm(scale * (b.T @ b) / lift.size, lift)
+def random_form(rng, scale=1.0, cls=AbsoluteForm):
+    b = rng.normal(size=(cls.size + 7, cls.size))
+    return cls(scale * (b.T @ b) / cls.size)
 
 
 class TestQuadraticValue:
     def test_zero_form_is_zero(self, rng):
-        form = QuadricForm(np.zeros((13, 13)), ABSOLUTE_LIFT)
+        form = AbsoluteForm(np.zeros((13, 13)))
         r, t = random_pose_arrays(rng)
         assert form.value(r, t) == 0.0
 
@@ -59,7 +59,7 @@ class TestQuadraticValue:
 
 class TestQuadraticGradients:
     def test_zero_form_gradients(self, rng):
-        form = QuadricForm(np.zeros((13, 13)), ABSOLUTE_LIFT)
+        form = AbsoluteForm(np.zeros((13, 13)))
         r, t = random_pose_arrays(rng)
         np.testing.assert_array_equal(form.rotation_gradient(r, t), np.zeros((3, 3)))
         np.testing.assert_array_equal(form.translation_gradient(r, t), np.zeros(3))
@@ -76,7 +76,7 @@ class TestQuadraticGradients:
 
     def test_finite_difference_match(self, rng):
         for trial in range(100):
-            form = random_form(rng, lift=(ABSOLUTE_LIFT, GEC_LIFT)[trial % 2])
+            form = random_form(rng, cls=(AbsoluteForm, GecForm)[trial % 2])
             r, t = random_pose_arrays(rng)
             err_r = relative_gradient_error(form.rotation_gradient(r, t),
                                             fd_rotation_gradient(form, r, t))
@@ -90,7 +90,7 @@ class TestQuadraticGradients:
         # and the 3x3 gradient is that 9-vector in column-major order.
         form = random_form(rng)
         r, t = random_pose_arrays(rng)
-        flat = 2.0 * (form.h @ ABSOLUTE_LIFT.phi(r, t))[:9]
+        flat = 2.0 * (form.h @ form.phi(r, t))[:9]
         np.testing.assert_allclose(form.rotation_gradient(r, t),
                                    flat.reshape((3, 3), order="F"), atol=1e-14)
 
@@ -125,7 +125,7 @@ class TestClosedFormTranslation:
 
     def test_gradient_vanishes_at_solution(self, rng):
         for trial in range(20):
-            form = random_form(rng, lift=(ABSOLUTE_LIFT, GEC_LIFT)[trial % 2])
+            form = random_form(rng, cls=(AbsoluteForm, GecForm)[trial % 2])
             r, _ = random_pose_arrays(rng)
             t_star = form.closed_form_translation(r)
             assert np.linalg.norm(form.translation_gradient(r, t_star)) < 1e-9
@@ -179,7 +179,7 @@ class TestReducedRotationQuadric:
 
     def test_none_on_gec_forms(self, rng):
         _, corrs = generate_relative_scene(SceneConfig(seed=1))
-        for form in (build_gec_form(corrs), random_form(rng, lift=GEC_LIFT)):
+        for form in (build_gec_form(corrs), random_form(rng, cls=GecForm)):
             assert getattr(form, "reduced_rotation_quadric", None) is None
 
 
@@ -190,53 +190,57 @@ class TestFormValidation:
         h = np.eye(13)
         h[0, 1] = 1.0
         with pytest.raises(ValueError, match="symmetric"):
-            QuadricForm(h, ABSOLUTE_LIFT)
+            AbsoluteForm(h)
 
     def test_rejects_indefinite_m_tt(self):
         h = np.zeros((13, 13))
         h[9:12, 9:12] = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError, match="semidefinite"):
-            QuadricForm(h, ABSOLUTE_LIFT)
+            AbsoluteForm(h)
 
     def test_rejects_bad_shapes(self):
-        for h, lift in ((np.zeros((9, 9)), ABSOLUTE_LIFT),
-                        (np.zeros((18, 18)), ABSOLUTE_LIFT),
-                        (np.zeros((13, 13)), GEC_LIFT),
-                        (np.zeros((18, 9)), GEC_LIFT),
-                        (np.zeros(18), GEC_LIFT)):
+        for h, cls in ((np.zeros((9, 9)), AbsoluteForm),
+                       (np.zeros((18, 18)), AbsoluteForm),
+                       (np.zeros((13, 13)), GecForm),
+                       (np.zeros((18, 9)), GecForm),
+                       (np.zeros(18), GecForm)):
             with pytest.raises(ValueError, match="H must be"):
-                QuadricForm(h, lift)
+                cls(h)
 
     def test_rejects_asymmetric_gec(self, rng):
         m = rng.normal(size=(18, 18))
         with pytest.raises(ValueError, match="symmetric"):
-            QuadricForm(m, GEC_LIFT)
+            GecForm(m)
 
     def test_rejects_indefinite_gec(self):
         with pytest.raises(ValueError, match="semidefinite"):
-            QuadricForm(-np.eye(18), GEC_LIFT)
+            GecForm(-np.eye(18))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("lift", [ABSOLUTE_LIFT, GEC_LIFT], ids=["absolute", "gec"])
-    def test_rejects_non_finite(self, bad, lift):
-        h = np.eye(lift.size)
+    @pytest.mark.parametrize("cls", [AbsoluteForm, GecForm], ids=["absolute", "gec"])
+    def test_rejects_non_finite(self, bad, cls):
+        h = np.eye(cls.size)
         h[3, 3] = bad
         with pytest.raises(ValueError, match="finite"):
-            QuadricForm(h, lift)
-        rows = np.eye(lift.size)
+            cls(h)
+        rows = np.eye(cls.size)
         rows[0, 3] = bad
         with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
-            QuadricForm.from_rows(rows, lift)
+            cls.from_rows(rows)
+
+    def test_base_form_is_abstract(self):
+        with pytest.raises(TypeError, match="abstract"):
+            QuadricForm(np.eye(13))
 
     def test_from_rows_rejects_wrong_width(self):
         with pytest.raises(ValueError, match="H must be 13x13"):
-            QuadricForm.from_rows(np.ones((4, 18)), ABSOLUTE_LIFT)
+            AbsoluteForm.from_rows(np.ones((4, 18)))
 
     def test_accepts_rounding_level_asymmetry_and_keeps_symmetric_part(self, rng):
         b = rng.normal(size=(20, 18))
         h = b.T @ b
         h[0, 1] += 1e-13
-        form = QuadricForm(h, GEC_LIFT)
+        form = GecForm(h)
         np.testing.assert_array_equal(form.h, form.h.T)
         assert form.h[0, 1] == 0.5 * (h[0, 1] + h[1, 0])
         assert not form.h.flags.writeable
@@ -246,15 +250,15 @@ class TestFormValidation:
         _, abs_corrs = generate_absolute_scene(SceneConfig(seed=2))
         _, rel_corrs = generate_relative_scene(SceneConfig(seed=2))
         # upnp_rows checks its depth system with eigvalsh, so rows come first.
-        rows = [(gpnp_rows(abs_corrs), ABSOLUTE_LIFT), (upnp_rows(abs_corrs), ABSOLUTE_LIFT),
-                (gec_rows(rel_corrs), GEC_LIFT)]
+        rows = [(gpnp_rows(abs_corrs), AbsoluteForm), (upnp_rows(abs_corrs), AbsoluteForm),
+                (gec_rows(rel_corrs), GecForm)]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("eigvalsh called")
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         with pytest.raises(AssertionError):
-            QuadricForm(np.eye(13), ABSOLUTE_LIFT)
-        forms = [QuadricForm.from_rows(a, lift) for a, lift in rows]
+            AbsoluteForm(np.eye(13))
+        forms = [cls.from_rows(a) for a, cls in rows]
         forms += [build_gpnp_form(abs_corrs), build_gec_form(rel_corrs)]
         for form in forms:
             assert not form.h.flags.writeable

@@ -7,8 +7,10 @@ from conftest import (assert_block_quadrics_match, fd_rotation_gradient,
 from poseamm.bench import SceneConfig, generate_relative_scene
 from poseamm.exceptions import PoseSolverError
 from poseamm.geometry import skew, unvec, vec
-from poseamm.objectives import GEC_LIFT, QuadricForm
+from poseamm.objectives import GecForm
 from poseamm.relative import RayPairSet, build_gec_form, gec_rows
+
+gec_phi = GecForm(np.zeros((18, 18))).phi   # phi does not depend on H
 
 
 def block_matrix(rotation, translation):
@@ -58,14 +60,14 @@ class TestBuildGecVector:
         for _ in range(50):
             corr = random_pairs(rng, 1)
             rotation, translation = random_pose_arrays(rng)
-            v = GEC_LIFT.phi(rotation, translation)
+            v = gec_phi(rotation, translation)
             direct = direct_residual(*line_pairs(corr)[0], rotation, translation)
             a = gec_rows(corr)[0]
             assert abs(a @ v - direct) < 1e-12 * max(1.0, abs(direct))
 
     def test_zero_residual_at_truth(self):
         truth, corrs = generate_relative_scene(SceneConfig(seed=8))
-        v = GEC_LIFT.phi(truth.rotation, truth.translation)
+        v = gec_phi(truth.rotation, truth.translation)
         for i in range(len(corrs)):
             assert abs(gec_rows(corrs[i:i + 1])[0] @ v) < 1e-10
 
@@ -86,7 +88,7 @@ class TestBuildGecForm:
         for seed in range(5):
             truth, corrs = generate_relative_scene(SceneConfig(seed=seed))
             form = build_gec_form(corrs)
-            v = GEC_LIFT.phi(truth.rotation, truth.translation)
+            v = gec_phi(truth.rotation, truth.translation)
             scale = float(np.linalg.norm(form.h)) * float(v @ v)
             summed = sum(float(gec_rows(corrs[i:i + 1])[0] @ v) ** 2
                          for i in range(len(corrs)))
@@ -131,7 +133,7 @@ class TestGecValue:
 
 class TestGecGradients:
     def test_zero_form_gradients(self, rng):
-        form = QuadricForm(np.zeros((18, 18)), GEC_LIFT)
+        form = GecForm(np.zeros((18, 18)))
         rotation, translation = random_pose_arrays(rng)
         np.testing.assert_array_equal(form.rotation_gradient(rotation, translation),
                                       np.zeros((3, 3)))
@@ -159,7 +161,7 @@ class TestGecGradients:
         corrs = random_pairs(rng, 8)
         form = build_gec_form(corrs)
         rotation, _ = random_pose_arrays(rng)
-        v = GEC_LIFT.phi(rotation, np.zeros(3))
+        v = gec_phi(rotation, np.zeros(3))
         expected = unvec(2.0 * (form.h @ v)[9:])
         np.testing.assert_allclose(form.rotation_gradient(rotation, np.zeros(3)),
                                    expected, atol=1e-12)
@@ -169,7 +171,7 @@ class TestGecGradients:
         corrs = random_pairs(rng, 8)
         form = build_gec_form(corrs)
         translation = rng.normal(size=3)
-        v = GEC_LIFT.phi(np.eye(3), translation)
+        v = gec_phi(np.eye(3), translation)
         mv = form.h @ v
         jac = np.hstack([skew(np.eye(3)[:, i]) for i in range(3)]
                         + [np.zeros((3, 9))])
@@ -190,7 +192,7 @@ class TestGecBlockQuadrics:
         # v = L_t vec(R) and vec(skew(t) R) = S_R t, the two linear maps the
         # block quadrics are built from.
         rotation, translation = random_pose_arrays(rng)
-        v = GEC_LIFT.phi(rotation, translation)
+        v = gec_phi(rotation, translation)
         lift = np.vstack([np.kron(np.eye(3), skew(translation)), np.eye(9)])
         np.testing.assert_allclose(lift @ vec(rotation), v, atol=1e-14)
         s_r = -np.vstack([skew(rotation[:, j]) for j in range(3)])
@@ -243,7 +245,7 @@ class TestScaleBehaviour:
             truth, corrs = generate_relative_scene(
                 SceneConfig(seed=seed, rig="central"))
             form = build_gec_form(corrs)
-            v = GEC_LIFT.phi(truth.rotation, truth.translation)
+            v = gec_phi(truth.rotation, truth.translation)
             scale = float(np.linalg.norm(form.h)) * max(1.0, float(v @ v))
             for lam in (0.5, 2.0):
                 value = form.value(truth.rotation, lam * truth.translation)

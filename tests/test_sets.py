@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import cross, pixel_noise_per_call, unit
 from poseamm import PointRaySet, RayPairSet, bench
 from poseamm.absolute import build_gpnp_form
 from poseamm.bench import (FAMILIES, INIT_IDENTITY, INIT_LINEAR, RIG_CENTRAL,
@@ -19,20 +20,9 @@ from poseamm.geometry import UNIT_TOL, Pose, rodrigues_step
 from poseamm.relative import build_gec_form
 
 # The per-point helpers of the generator that built each scene one point
-# at a time, frozen verbatim: the oracles below compare the shipped
-# generators with this arithmetic, not with the code under test.
-
-
-def _unit(v):
-    return v / np.linalg.norm(v)
-
-
-def _cross(a, b) -> np.ndarray:
-    """a x b of two 3-vectors, with the products and differences np.cross
-    forms, at a fraction of its per-call cost."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+# at a time, frozen verbatim (its pixel noise is conftest's
+# pixel_noise_per_call): the oracles below compare the shipped generators
+# with this arithmetic, not with the code under test.
 
 
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
@@ -49,26 +39,6 @@ def random_pose(rng: np.random.Generator, config: SceneConfig) -> Pose:
     angle = rng.uniform(0.0, config.rotation_max_angle)
     ext = config.translation_extent
     return Pose(rodrigues_step(axis, angle), rng.uniform(-ext, ext, size=3))
-
-
-def apply_pixel_noise(bearing, sigma_px: float, focal_px: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Perturb a unit bearing by Gaussian pixel noise in its tangent plane.
-
-    Independent offsets with standard deviation ``sigma_px`` are applied
-    to the two tangent coordinates scaled at distance ``focal_px``, then
-    the result is renormalized; per-axis angular deviation is therefore
-    sigma_px / focal_px radians. Zero sigma returns the input unchanged.
-    """
-    b = np.asarray(bearing, dtype=float)
-    if sigma_px == 0.0:
-        return b
-    helper = np.zeros(3)
-    helper[int(np.argmin(np.abs(b)))] = 1.0
-    e1 = _unit(_cross(b, helper))
-    e2 = _cross(b, e1)
-    dx, dy = rng.normal(0.0, sigma_px, size=2)
-    return _unit(b + (dx * e1 + dy * e2) / focal_px)
 
 
 def _camera_offset(rng: np.random.Generator, config: SceneConfig) -> np.ndarray:
@@ -88,8 +58,8 @@ def record_generate_absolute(config, rng):
         depth = rng.uniform(*config.point_depth_range)
         cam_point = offset + depth * bearing
         world_point = truth.rotation.T @ (cam_point - truth.translation)
-        noisy = apply_pixel_noise(bearing, config.noise_sigma_px,
-                                  config.focal_px, rng)
+        noisy = pixel_noise_per_call(bearing, config.noise_sigma_px,
+                                     config.focal_px, rng)
         rows.append((world_point, noisy, offset))
     return truth, tuple(np.array(column) for column in zip(*rows))
 
@@ -110,9 +80,9 @@ def record_generate_relative(config, rng):
             offset2 = _camera_offset(rng, config)
             if np.linalg.norm(point2 - offset2) >= min_distance:
                 break
-        dir2 = _unit(point2 - offset2)
-        dir1 = apply_pixel_noise(dir1, config.noise_sigma_px, config.focal_px, rng)
-        dir2 = apply_pixel_noise(dir2, config.noise_sigma_px, config.focal_px, rng)
+        dir2 = unit(point2 - offset2)
+        dir1 = pixel_noise_per_call(dir1, config.noise_sigma_px, config.focal_px, rng)
+        dir2 = pixel_noise_per_call(dir2, config.noise_sigma_px, config.focal_px, rng)
         rows.append((dir1, np.cross(offset1, dir1), dir2, np.cross(offset2, dir2)))
     return truth, tuple(np.array(column) for column in zip(*rows))
 
@@ -176,16 +146,16 @@ class TestGenerators:
 
 
 def np_cross_pixel_noise(bearing, sigma_px, focal_px, rng):
-    """apply_pixel_noise with its tangent basis from np.cross."""
+    """pixel_noise_per_call with its tangent basis from np.cross."""
     b = np.asarray(bearing, dtype=float)
     if sigma_px == 0.0:
         return b
     helper = np.zeros(3)
     helper[int(np.argmin(np.abs(b)))] = 1.0
-    e1 = _unit(np.cross(b, helper))
+    e1 = unit(np.cross(b, helper))
     e2 = np.cross(b, e1)
     dx, dy = rng.normal(0.0, sigma_px, size=2)
-    return _unit(b + (dx * e1 + dy * e2) / focal_px)
+    return unit(b + (dx * e1 + dy * e2) / focal_px)
 
 
 def np_cross_generate_absolute(config, rng):
@@ -220,7 +190,7 @@ def np_cross_generate_relative(config, rng):
             offset2 = _camera_offset(rng, config)
             if np.linalg.norm(point2 - offset2) >= min_distance:
                 break
-        dir2 = _unit(point2 - offset2)
+        dir2 = unit(point2 - offset2)
         dir1 = np_cross_pixel_noise(dir1, config.noise_sigma_px, config.focal_px, rng)
         dir2 = np_cross_pixel_noise(dir2, config.noise_sigma_px, config.focal_px, rng)
         d1[i], m1[i] = dir1, np.cross(offset1, dir1)
@@ -240,7 +210,7 @@ class TestGeneratorsMatchNpCross:
         for a in vectors[::7]:
             rows = np.cross(np.tile(a, (len(vectors), 1)), np.array(vectors))
             for b, row in zip(vectors, rows):
-                assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
+                assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
                 assert row.tobytes() == np.cross(a, b).tobytes()
 
     @pytest.mark.parametrize("rig", [RIG_CENTRAL, RIG_NON_CENTRAL])
